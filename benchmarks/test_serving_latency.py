@@ -6,8 +6,8 @@ closed-loop client workers and reports the saturation-curve rows that
 per batch size x workers x backend configuration.
 
 The gates here are *structural* — percentile ordering, positive throughput,
-the cache earning hits on skewed traffic — not absolute latency numbers,
-which would flake on shared CI machines.  Absolute numbers live in the
+every request served — not absolute latency numbers, which would flake on
+shared CI machines.  Absolute numbers live in the
 ``BENCH_serve.json`` artifact the CI smoke job uploads.
 
 Run with ``pytest benchmarks/test_serving_latency.py -s`` to see the table.
@@ -27,7 +27,7 @@ def latency_rows(profile):
                                  num_requests=192, top_k=10, profile=profile)
     print("\n" + format_rows(rows, columns=[
         "backend", "nprobe", "max_batch_size", "workers", "users_per_sec",
-        "p50_ms", "p90_ms", "p99_ms", "cache_hit_rate"]))
+        "p50_ms", "p90_ms", "p99_ms"]))
     return rows
 
 
@@ -42,7 +42,7 @@ class TestServingLatency:
     def test_row_schema_matches_bench_serve_artifact(self, latency_rows):
         required = {"backend", "nprobe", "max_batch_size", "workers",
                     "requests", "users_per_sec", "p50_ms", "p90_ms", "p99_ms",
-                    "mean_ms", "cache_hit_rate", "errors"}
+                    "mean_ms", "errors"}
         assert required <= set(latency_rows[0])
 
     def test_percentiles_ordered_and_throughput_positive(self, latency_rows):
@@ -50,12 +50,6 @@ class TestServingLatency:
             assert row["errors"] == 0
             assert row["users_per_sec"] > 0
             assert 0 < row["p50_ms"] <= row["p90_ms"] <= row["p99_ms"]
-
-    def test_skewed_traffic_earns_cache_hits(self, latency_rows):
-        # The generated stream is 80/20 skewed with duplicates, so every
-        # configuration should see some hits once the hot set is resident.
-        assert all(0.0 <= row["cache_hit_rate"] <= 1.0 for row in latency_rows)
-        assert any(row["cache_hit_rate"] > 0.0 for row in latency_rows)
 
     def test_every_request_served(self, latency_rows):
         assert all(row["requests"] == 192 for row in latency_rows)

@@ -10,8 +10,8 @@ Public entry points:
 * :mod:`repro.data` — synthetic cross-domain data, preprocessing, splits.
 * :mod:`repro.eval` — leave-one-out protocol, MRR/NDCG/HR, significance.
 * :mod:`repro.experiments` — one runner per paper table / figure.
-* :mod:`repro.serve` — batched cold-start serving (item index, LRU cache,
-  request batching).
+* :mod:`repro.serve` — batched cold-start serving (item index, per-checkpoint
+  user-latent table, request batching).
 * :mod:`repro.io` — versioned checkpoints (npz payload + JSON manifest) for
   the train→publish→serve pipeline.
 """

@@ -203,18 +203,15 @@ def sparse_propagate(push: Union[sp.spmatrix, np.ndarray],
                      features: np.ndarray,
                      weight_to: np.ndarray,
                      weight_from: np.ndarray,
-                     negative_slope: float = 0.1,
-                     pull_rows: Union[np.ndarray, None] = None) -> np.ndarray:
+                     negative_slope: float = 0.1) -> np.ndarray:
     """Fused no-grad two-step propagation (Eq. 2 + the message part of Eq. 3).
 
     Computes ``leaky_relu(pull @ (leaky_relu(push @ (features @ W_to)) @ W_from))``
     entirely on raw numpy arrays — no autograd :class:`Tensor` bookkeeping, no
-    intermediate graph nodes.  This is the serving hot path: the operations and
+    intermediate graph nodes.  This is the inference path: the operations and
     their order are identical to the Tensor-based forward pass of
-    ``repro.core.vbge.PropagationBlock``, so the result matches an eval-mode
-    forward without the per-op allocation overhead — bitwise when the operand
-    shapes match, and to float precision when ``pull_rows`` shrinks the final
-    product (BLAS may pick a different kernel for small batches).
+    ``repro.core.vbge.PropagationBlock``, so the result is bitwise equal to an
+    eval-mode forward without the per-op allocation overhead.
 
     Parameters
     ----------
@@ -228,22 +225,15 @@ def sparse_propagate(push: Union[sp.spmatrix, np.ndarray],
         The two linear projections of the propagation block.
     negative_slope:
         LeakyReLU slope (paper fixes 0.1).
-    pull_rows:
-        Optional row subset of ``pull``: when only a batch of nodes needs the
-        propagated output (e.g. a batch of cold-start users), restricting the
-        pull step avoids the full (n_self, f) product.  The interim step still
-        runs over the full graph, which is required for exactness.
 
     Returns
     -------
-    (n_self, f) array — or (len(pull_rows), f) when ``pull_rows`` is given.
+    (n_self, f) array.
     """
     push = _ensure_csr(push)
     pull = _ensure_csr(pull)
     interim = push @ (np.asarray(features) @ np.asarray(weight_to))
     np.multiply(interim, np.where(interim > 0, 1.0, negative_slope), out=interim)
-    if pull_rows is not None:
-        pull = pull[np.asarray(pull_rows, dtype=np.int64)]
     returned = pull @ (interim @ np.asarray(weight_from))
     np.multiply(returned, np.where(returned > 0, 1.0, negative_slope), out=returned)
     return returned

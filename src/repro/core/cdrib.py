@@ -402,19 +402,19 @@ class CDRIB(Module):
         raise KeyError(f"unknown domain {domain!r}")
 
     @no_grad()
-    def encode_users_batch(self, domain: str,
-                           user_indices: Optional[np.ndarray] = None) -> np.ndarray:
-        """Posterior-mean latents for a batch of users of one domain.
+    def encode_users_batch(self, domain: str) -> np.ndarray:
+        """Posterior-mean latents of every user of one domain.
 
-        This is the serving entry point: one vectorized no-grad VBGE pass per
-        call, independent of the training state (dropout and sampling are
-        bypassed exactly as in eval mode).  The computation runs on raw numpy
-        arrays; the ``no_grad`` guard additionally ensures nothing under this
-        call can record an autograd graph.  Returns an array of shape
-        (batch, dim) aligned with ``user_indices`` (or all users when None).
+        This is the serving entry point: one vectorized no-grad VBGE pass,
+        independent of the training state (dropout and sampling are bypassed
+        exactly as in eval mode) and bitwise equal to the eval cache.  The
+        computation runs on raw numpy arrays; the ``no_grad`` guard
+        additionally ensures nothing under this call can record an autograd
+        graph.  Computed once per checkpoint by
+        :class:`~repro.serve.ColdStartServer`; shape (num_users, dim).
         """
         vbge, user_emb, _, graph = self._domain_parts(domain)
-        mu, _ = vbge.encode_users_batch(user_emb.weight.data, graph, user_indices)
+        mu, _ = vbge.encode_users_batch(user_emb.weight.data, graph)
         return mu
 
     @no_grad()

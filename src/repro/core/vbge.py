@@ -93,18 +93,15 @@ class PropagationBlock(Module):
         )
         return returned
 
-    def infer(self, features: np.ndarray, push, pull,
-              pull_rows: Optional[np.ndarray] = None) -> np.ndarray:
+    def infer(self, features: np.ndarray, push, pull) -> np.ndarray:
         """No-grad propagation on raw numpy arrays (serving fast path).
 
-        Performs the same operations as :meth:`forward` in the same order;
-        ``pull_rows`` optionally restricts the pull step to a batch of nodes
-        (exact up to BLAS kernel selection for the smaller products).
+        Performs the same operations as :meth:`forward` in the same order.
         """
         return sparse_propagate(
             push, pull, features,
             self.to_neighbor.weight.data, self.from_neighbor.weight.data,
-            self.negative_slope, pull_rows=pull_rows,
+            self.negative_slope,
         )
 
 
@@ -272,8 +269,8 @@ class VBGE(Module):
                               user_indices: np.ndarray) -> Tuple[Tensor, Tensor]:
         """Gradient-capable row-sliced (mu, sigma) for a batch of users.
 
-        The differentiable counterpart of :meth:`encode_users_batch`: the
-        final pull step and the Gaussian head run only on ``user_indices``
+        A differentiable, row-restricted variant of :meth:`encode_users_batch`:
+        the final pull step and the Gaussian head run only on ``user_indices``
         (via the ``pull_rows`` slicing of :func:`sparse_propagate_grad`)
         while earlier hops span the full graph, which is required for
         exactness.  Gradients scatter back through the sliced adjacency into
@@ -308,19 +305,14 @@ class VBGE(Module):
     # ------------------------------------------------------------------ #
     # Inference fast paths (serving)
     # ------------------------------------------------------------------ #
-    def encode_users_batch(self, user_embeddings, graph: BipartiteGraph,
-                           user_indices: Optional[np.ndarray] = None
+    def encode_users_batch(self, user_embeddings, graph: BipartiteGraph
                            ) -> Tuple[np.ndarray, np.ndarray]:
-        """Encode a batch of users in one vectorized no-grad pass.
+        """Encode every user of the domain in one vectorized no-grad pass.
 
         Unlike :meth:`encode` this skips dropout, sampling, the item-side
-        Gaussian head and all autograd bookkeeping, and it restricts the final
-        pull step plus the user head to ``user_indices`` — the interim
-        propagation still covers the full graph, which is required for
-        exactness.  The result equals the eval-mode ``encode`` output on the
-        selected rows (to float precision: restricting the batch shrinks the
-        GEMM shapes, where BLAS kernel selection may differ in the last ulp).
-        (The two-step even-hop propagation means user latents
+        Gaussian head and all autograd bookkeeping.  It runs the same-shaped
+        products as the eval-mode ``encode``, so the result is bitwise equal
+        to it.  (The two-step even-hop propagation means user latents
         depend only on the user embedding table, so no item table is needed.)
 
         Parameters
@@ -329,33 +321,16 @@ class VBGE(Module):
             Full user embedding table (Tensor or ndarray).
         graph:
             The domain's training interaction graph.
-        user_indices:
-            Users to encode; ``None`` encodes every user.
 
         Returns
         -------
-        ``(mu, sigma)`` arrays of shape (batch, dim) — the posterior means are
-        the representations to score with at inference time.
+        ``(mu, sigma)`` arrays of shape (num_users, dim) — the posterior means
+        are the representations to score with at inference time.
         """
-        users = _as_ndarray(user_embeddings)
-        norm_i2u = graph.norm_item_to_user()
-        norm_u2i = graph.norm_user_to_item()
-        index = (None if user_indices is None
-                 else np.asarray(user_indices, dtype=np.int64))
-
-        outputs = [users if index is None else users[index]]
-        hidden = users
-        for layer, block in enumerate(self.user_blocks):
-            is_last = layer == len(self.user_blocks) - 1
-            if is_last and index is not None:
-                # Only the batch rows of the final layer are ever consumed, so
-                # the last pull can run on the restricted adjacency.
-                outputs.append(block.infer(hidden, push=norm_u2i, pull=norm_i2u,
-                                           pull_rows=index))
-            else:
-                hidden = block.infer(hidden, push=norm_u2i, pull=norm_i2u)
-                outputs.append(hidden if index is None else hidden[index])
-        return self.user_head.infer(np.concatenate(outputs, axis=-1))
+        return self._infer(self.user_blocks, self.user_head,
+                           _as_ndarray(user_embeddings),
+                           push=graph.norm_user_to_item(),
+                           pull=graph.norm_item_to_user())
 
     def encode_items(self, item_embeddings,
                      graph: BipartiteGraph) -> Tuple[np.ndarray, np.ndarray]:
@@ -365,16 +340,22 @@ class VBGE(Module):
         the serving :class:`~repro.serve.ItemIndex` once per checkpoint.
         Returns ``(mu, sigma)`` arrays of shape (num_items, dim).
         """
-        items = _as_ndarray(item_embeddings)
-        norm_i2u = graph.norm_item_to_user()
-        norm_u2i = graph.norm_user_to_item()
+        return self._infer(self.item_blocks, self.item_head,
+                           _as_ndarray(item_embeddings),
+                           push=graph.norm_item_to_user(),
+                           pull=graph.norm_user_to_item())
 
-        outputs = [items]
-        hidden = items
-        for block in self.item_blocks:
-            hidden = block.infer(hidden, push=norm_i2u, pull=norm_u2i)
+    @staticmethod
+    def _infer(blocks: List[PropagationBlock], head: GaussianHead,
+               features: np.ndarray, push, pull
+               ) -> Tuple[np.ndarray, np.ndarray]:
+        """No-grad stacked propagation plus Gaussian head for one node set."""
+        outputs = [features]
+        hidden = features
+        for block in blocks:
+            hidden = block.infer(hidden, push=push, pull=pull)
             outputs.append(hidden)
-        return self.item_head.infer(np.concatenate(outputs, axis=-1))
+        return head.infer(np.concatenate(outputs, axis=-1))
 
     def _sample(self, mu: Tensor, sigma: Tensor,
                 defer: bool = False) -> GaussianLatent:

@@ -52,8 +52,8 @@ EXPERIMENTS: Dict[str, str] = {
            "catalogue (recall + queries/sec; repro.serve.ann)",
     "bench-serve": "Concurrent serving load test — N closed-loop client "
                    "workers drive the thread-safe front-end "
-                   "(repro.serve.frontend) and record p50/p90/p99 latency, "
-                   "users/sec and cache hit rate per batch size x workers x "
+                   "(repro.serve.frontend) and record p50/p90/p99 latency "
+                   "and users/sec per batch size x workers x "
                    "nprobe configuration; --bench-json writes the "
                    "BENCH_serve.json artifact",
     "train": "Train CDRIB with durable checkpoints (--save) and bit-exact "

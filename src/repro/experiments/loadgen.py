@@ -11,16 +11,13 @@ tables):
   set of users produces most requests, mimicking production).
 * :func:`run_load_test` — N closed-loop client workers drive one
   :class:`~repro.serve.ServingFrontend`; every request's submit-to-result
-  latency is captured and aggregated into p50/p90/p99 + users/sec, with
-  cache hit-rate and server counters from
-  :class:`~repro.serve.ServerStats` / :class:`~repro.serve.LRUCache`.
+  latency is captured and aggregated into p50/p90/p99 + users/sec.
 * :func:`run_loadgen_benchmark` — the ``bench-serve`` sweep: batch size ×
   workers × nprobe over the exact and IVF retrieval backends, one
   saturation-curve row per configuration.
 * :func:`save_bench_serve` — the ``BENCH_serve.json`` perf-trajectory
-  artifact (schema: config + per-configuration users/sec, latency
-  percentiles and cache hit rate), the repo's first recorded latency
-  profile.
+  artifact (schema: config + per-configuration users/sec and latency
+  percentiles), the repo's first recorded latency profile.
 
 Correctness under concurrency is pinned separately
 (``tests/test_serve_frontend.py``: concurrent lists are bit-identical to
@@ -56,8 +53,7 @@ def generate_traffic(num_requests: int, num_users: int, seed: int = 0,
 
     ``hot_weight`` of the requests target a "hot" subset holding
     ``hot_fraction`` of the users (defaults give the classic 80/20 skew);
-    the remainder is uniform over the whole user range.  Skewed streams are
-    what make the LRU latent cache earn its hit rate in the benchmark rows.
+    the remainder is uniform over the whole user range.
     """
     if num_requests < 1 or num_users < 1:
         raise ValueError("num_requests and num_users must be >= 1")
@@ -103,10 +99,6 @@ class LoadTestResult:
     wall_seconds: float
     users_per_sec: float
     latency: Dict[str, float]
-    cache_hit_rate: float
-    cache_hits: int
-    cache_misses: int
-    users_encoded: int
     batches_flushed: int
     latencies_seconds: np.ndarray = field(repr=False)
 
@@ -118,8 +110,6 @@ class LoadTestResult:
             "workers": self.workers,
             "wall_seconds": self.wall_seconds,
             "users_per_sec": self.users_per_sec,
-            "cache_hit_rate": self.cache_hit_rate,
-            "users_encoded": self.users_encoded,
             "batches_flushed": self.batches_flushed,
         }
         row.update(self.latency)
@@ -139,10 +129,8 @@ def run_load_test(server, traffic: Sequence[int], workers: int = 4,
     worker count, batches form across workers).  Per-request latency is the
     submit-to-result wall time seen by the client.
 
-    Counters (cache hits/misses, users encoded, batches flushed) are
-    *deltas* over this run, so a server can be reused across
-    configurations; the cache itself is left as the run warmed it — clear
-    it between runs for cold-start comparability.
+    ``batches_flushed`` counts this run's front-end only, so a server can
+    be reused across configurations.
     """
     from ..serve import ServingFrontend
 
@@ -152,9 +140,6 @@ def run_load_test(server, traffic: Sequence[int], workers: int = 4,
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     workers = min(int(workers), int(traffic.size))
-
-    hits0, misses0 = server.cache.hits, server.cache.misses
-    encoded0 = server.stats.users_encoded
 
     slices = [traffic[w::workers] for w in range(workers)]
     per_worker_latencies: List[List[float]] = [[] for _ in range(workers)]
@@ -181,9 +166,6 @@ def run_load_test(server, traffic: Sequence[int], workers: int = 4,
 
     latencies = np.concatenate(
         [np.asarray(chunk, dtype=np.float64) for chunk in per_worker_latencies])
-    hits = server.cache.hits - hits0
-    misses = server.cache.misses - misses0
-    lookups = hits + misses
     return LoadTestResult(
         requests=int(traffic.size),
         errors=int(sum(per_worker_errors)),
@@ -191,10 +173,6 @@ def run_load_test(server, traffic: Sequence[int], workers: int = 4,
         wall_seconds=float(wall),
         users_per_sec=float(traffic.size / wall) if wall > 0 else float("inf"),
         latency=summarize_latencies(latencies),
-        cache_hit_rate=float(hits / lookups) if lookups else 0.0,
-        cache_hits=int(hits),
-        cache_misses=int(misses),
-        users_encoded=int(server.stats.users_encoded - encoded0),
         batches_flushed=int(flushed),
         latencies_seconds=latencies,
     )
@@ -213,7 +191,6 @@ def run_loadgen_benchmark(scenario_name: str = "game_video",
                           profile: Optional[ExperimentProfile] = None,
                           train_epochs: int = 3,
                           max_delay: float = 0.002,
-                          cache_capacity: int = 4096,
                           seed: Optional[int] = None) -> List[ROW]:
     """Sweep batch size × workers × nprobe over retrieval backends.
 
@@ -222,8 +199,7 @@ def run_loadgen_benchmark(scenario_name: str = "game_video",
     the *same* seeded skewed traffic through every configuration with
     :func:`run_load_test`.  ``nprobes`` applies to the IVF backend only
     (``None`` = the backend default); the exact backend contributes one
-    nprobe point per (batch, workers) cell.  Each configuration starts from
-    a cold user-latent cache so rows are comparable.
+    nprobe point per (batch, workers) cell.
 
     Returns one saturation-curve row per configuration; feed the rows to
     :func:`save_bench_serve` for the durable ``BENCH_serve.json`` artifact.
@@ -254,15 +230,12 @@ def run_loadgen_benchmark(scenario_name: str = "game_video",
         nprobe_axis: Sequence[Optional[int]] = (
             tuple(nprobes) if backend == "ivf" else (None,))
         server = ColdStartServer(trainer.model, split.source, split.target,
-                                 top_k=top_k, cache_capacity=cache_capacity,
-                                 index_backend=backend)
-        server.recommend(traffic[:1])  # warm the normalised-adjacency caches
+                                 top_k=top_k, index_backend=backend)
         for nprobe in nprobe_axis:
             if nprobe is not None:
                 server.index.nprobe = int(nprobe)
             for worker_count in workers:
                 for batch_size in batch_sizes:
-                    server.cache.clear()  # cold cache per configuration
                     result = run_load_test(
                         server, traffic, workers=worker_count,
                         max_batch_size=batch_size, max_delay=max_delay)
@@ -284,24 +257,24 @@ def run_loadgen_benchmark(scenario_name: str = "game_video",
 # The BENCH_serve.json artifact
 # --------------------------------------------------------------------------- #
 #: Current schema version of the BENCH_serve.json artifact.
-BENCH_SERVE_SCHEMA_VERSION = 1
+BENCH_SERVE_SCHEMA_VERSION = 2
 
 
 def save_bench_serve(rows: List[ROW], path: str,
                      config: Optional[Dict[str, object]] = None) -> str:
     """Write the ``BENCH_serve.json`` perf-trajectory artifact.
 
-    Schema (``schema_version`` 1): a top-level object with the sweep
+    Schema (``schema_version`` 2): a top-level object with the sweep
     ``config`` (scenario, axes, profile — whatever the caller records), a
     ``generated_unix`` timestamp, and ``rows`` — one object per swept
-    configuration carrying ``users_per_sec``, the ``p50_ms``/``p90_ms``/
-    ``p99_ms`` latency percentiles and ``cache_hit_rate`` alongside its
-    identifying axes (backend, nprobe, max_batch_size, workers).
+    configuration carrying ``users_per_sec`` and the ``p50_ms``/``p90_ms``/
+    ``p99_ms`` latency percentiles alongside its identifying axes (backend,
+    nprobe, max_batch_size, workers).  Version 1 rows also carried the
+    user-latent cache's ``cache_hit_rate``.
     """
     if not rows:
         raise ValueError("refusing to write an empty BENCH_serve artifact")
-    required = {"users_per_sec", "p50_ms", "p90_ms", "p99_ms",
-                "cache_hit_rate"}
+    required = {"users_per_sec", "p50_ms", "p90_ms", "p99_ms"}
     for row in rows:
         missing = required - set(row)
         if missing:

@@ -568,9 +568,7 @@ def run_serving_benchmark(scenario_name: str,
 
     Trains a small CDRIB checkpoint, builds a :class:`~repro.serve.ColdStartServer`
     for the X -> Y direction and serves ``total_users`` requests (sampled with
-    replacement, mimicking skewed production traffic) at each batch size with
-    the user-latent cache disabled, so the measured effect is pure batching.
-    A final row re-serves the same traffic with the LRU cache enabled.
+    replacement, mimicking skewed production traffic) at each batch size.
     ``index_backend`` / ``index_options`` select the retrieval backend
     (``"exact"`` or ``"ivf"``); pure index-side throughput at catalogue
     scale is measured separately by :func:`run_ann_benchmark`.
@@ -592,14 +590,12 @@ def run_serving_benchmark(scenario_name: str,
     num_source_users = scenario.domain(split.source).num_users
     users = rng.integers(0, num_source_users, size=total_users)
 
+    server = ColdStartServer(trainer.model, split.source, split.target,
+                             top_k=top_k, index_backend=index_backend,
+                             index_options=index_options)
     rows: List[ROW] = []
     base_rate: Optional[float] = None
     for batch_size in batch_sizes:
-        server = ColdStartServer(trainer.model, split.source, split.target,
-                                 top_k=top_k, cache_capacity=0,
-                                 index_backend=index_backend,
-                                 index_options=index_options)
-        server.recommend(users[:1])  # warm the normalised-adjacency caches
         start = time.perf_counter()
         for begin in range(0, total_users, batch_size):
             server.recommend(users[begin:begin + batch_size])
@@ -617,27 +613,6 @@ def run_serving_benchmark(scenario_name: str,
             "users_per_sec": rate,
             "speedup_vs_single": rate / base_rate,
         })
-
-    # Cache demo: identical traffic, warm LRU — lookups instead of encodes.
-    cached_server = ColdStartServer(trainer.model, split.source, split.target,
-                                    top_k=top_k, cache_capacity=num_source_users,
-                                    index_backend=index_backend,
-                                    index_options=index_options)
-    cached_server.recommend(users)  # populate
-    start = time.perf_counter()
-    cached_server.recommend(users)
-    elapsed = time.perf_counter() - start
-    rate = total_users / elapsed if elapsed > 0 else float("inf")
-    rows.append({
-        "scenario": scenario_name,
-        "direction": f"{split.source}->{split.target}",
-        "mode": "lru_cached",
-        "index": index_backend,
-        "batch_size": total_users,
-        "users_served": total_users,
-        "users_per_sec": rate,
-        "speedup_vs_single": rate / base_rate if base_rate else float("inf"),
-    })
     return rows
 
 

@@ -453,7 +453,7 @@ def _ann_check_row(model, scenario, job: JobSpec) -> ROW:
     users = sorted({int(user.source_user) for user in split.test})[:32]
     if not users:
         users = list(range(min(8, scenario.domain(split.source).num_users)))
-    latents = model.encode_users_batch(split.source, np.asarray(users, dtype=np.int64))
+    latents = model.encode_users_batch(split.source)[users]
 
     exact = build_index(model, split.target, backend="exact")
     ivf = build_index(model, split.target, backend="ivf", seed=job.seed)

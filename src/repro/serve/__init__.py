@@ -12,15 +12,15 @@ into a batched serving subsystem:
   retrieval (k-means coarse quantizer, cluster-major storage,
   ``nprobe``-controlled probing, exact re-ranking of candidates) for
   catalogue scales where brute force caps throughput.
-* :class:`ColdStartServer` — batched user encoding (one no-grad VBGE pass per
-  request batch) with an LRU user-latent cache and a pluggable index
+* :class:`ColdStartServer` — one read-only user-latent table per checkpoint
+  (a single full-graph no-grad VBGE pass), so serving a batch is a row
+  gather plus top-K against a pluggable index
   (``index_backend="exact" | "ivf"``).
 * :class:`RequestBatcher` — micro-batching queue for streaming workloads.
 * :class:`ServingFrontend` — thread-safe concurrent front-end over the
   batcher: ``submit()`` from any thread returns a :class:`FrontendTicket`,
   a background flusher enforces ``max_delay``, and served lists stay
   bit-identical to the synchronous path.
-* :class:`LRUCache` — the bounded cache primitive.
 * :func:`make_index` / :func:`build_index` / :func:`save_index` /
   :func:`load_index` — the backend registry and checksummed on-disk index
   artifacts (:mod:`repro.io` checkpoints).
@@ -43,7 +43,6 @@ from .ann import (
     save_index,
 )
 from .batching import PendingRequest, RequestBatcher
-from .cache import LRUCache
 from .frontend import FrontendTicket, ServingFrontend
 from .item_index import ItemIndex, TopKIndex, brute_force_ranking
 from .server import ColdStartServer, Recommendation, ServerStats
@@ -60,7 +59,6 @@ __all__ = [
     "load_index",
     "kmeans_quantizer",
     "brute_force_ranking",
-    "LRUCache",
     "ColdStartServer",
     "Recommendation",
     "ServerStats",

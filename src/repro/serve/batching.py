@@ -1,7 +1,7 @@
 """Micro-batching queue for streaming recommendation requests.
 
-Single-user requests are cheap to *answer* but expensive to *encode*: every
-VBGE pass pays the full sparse-propagation cost regardless of how many users
+Every served call pays a fixed per-call cost (argument checks, one top-K
+pass against the item index, Python overhead) regardless of how many users
 ride along.  The :class:`RequestBatcher` therefore accumulates incoming
 requests and serves them in one vectorized batch, either when the queue
 reaches ``max_batch_size`` or when the caller flushes explicitly.

@@ -212,7 +212,7 @@ class ServingFrontend:
 
     @property
     def server(self) -> ColdStartServer:
-        """The wrapped server (stats/cache counters live there)."""
+        """The wrapped server (its stats counters live there)."""
         return self._batcher.server
 
     @property

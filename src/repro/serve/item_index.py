@@ -22,18 +22,9 @@ backend (``"ivf"``) and the backend registry live in
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
-
-try:  # Python >= 3.8
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - typing_extensions fallback unused
-    Protocol = object
-
-    def runtime_checkable(cls):
-        """Identity decorator when typing.Protocol is unavailable."""
-        return cls
 
 from ..core.cdrib import CDRIB
 

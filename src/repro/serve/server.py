@@ -6,17 +6,20 @@ directly against the target domain's precomputed :class:`~repro.serve.ItemIndex`
 — no mapping function, exactly the paper's inference scheme, but vectorized
 over request batches.
 
-Per request batch the server
+The graph and the weights are fixed for a checkpoint, so every source user's
+latent is too, and the set of users is closed.  The server therefore encodes
+*all* source users once per checkpoint, in one full-graph no-grad VBGE pass
+(``CDRIB.encode_users_batch``), next to the item index.  Per request batch
+it then
 
-1. looks each user up in an LRU latent cache,
-2. encodes all cache misses in a *single* no-grad VBGE pass
-   (``CDRIB.encode_users_batch``),
-3. returns top-K items per user via partial sort against the item index.
+1. gathers the users' rows from that read-only latent table,
+2. returns top-K items per user via partial sort against the item index.
 
-User latents are bit-identical to the eval-cache path; scores agree with
-``CDRIB.cold_start_scores`` up to float rounding (matmul vs. elementwise
-reduction order), and served top-K lists are identical to a brute-force
-stable full ranking of the catalogue, including score ties.
+Served user latents are bit-identical to the eval cache
+(``CDRIB._eval_cache``); scores agree with ``CDRIB.cold_start_scores`` up to
+float rounding (matmul vs. elementwise reduction order), and served top-K
+lists are identical to a brute-force stable full ranking of the catalogue,
+including score ties.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ import numpy as np
 
 from ..core.cdrib import CDRIB
 from .ann import build_index
-from .cache import LRUCache
 from .item_index import TopKIndex
 
 
@@ -54,20 +56,11 @@ class ServerStats:
       calls.  A :class:`~repro.serve.RequestBatcher` flush issues one such
       call *per distinct* ``k`` in the flushed queue, so ``requests`` can
       exceed ``batcher.batches_flushed`` for mixed-``k`` traffic.
-    * ``users_served`` counts request slots (duplicates included);
-      ``users_encoded`` counts *unique* users that went through the VBGE
-      encoder (duplicates within a batch are encoded once).
-    * Cache hit/miss counts live on the server's
-      :class:`~repro.serve.LRUCache` (``server.cache.hits`` /
-      ``server.cache.hit_rate``) — the cache is the single source of truth
-      for them, and it counts per *lookup*: every occurrence of a not-yet-
-      cached user in a batch counts as its own miss, even though the batch
-      encodes that user only once.
+    * ``users_served`` counts request slots (duplicates included).
     """
 
     requests: int = 0
     users_served: int = 0
-    users_encoded: int = 0
 
 
 class ColdStartServer:
@@ -82,8 +75,6 @@ class ColdStartServer:
         ``target``.
     top_k:
         Default recommendation list length.
-    cache_capacity:
-        Capacity of the user-latent LRU cache (0 disables caching).
     exclude_seen:
         When True and ``source == target``, items the user interacted with in
         training are removed from the candidates.  (For genuine cold-start
@@ -99,11 +90,14 @@ class ColdStartServer:
         A prebuilt :class:`~repro.serve.TopKIndex` (e.g. loaded with
         :func:`repro.serve.load_index`) to serve from instead of encoding
         the catalogue; must match the target domain's catalogue size.
+
+    The user-latent table costs ``num_users × dim × itemsize`` bytes and
+    takes the index's dtype, so a float32 index serves float32 end to end.
     """
 
     def __init__(self, model: CDRIB, source: str, target: str,
-                 top_k: int = 10, cache_capacity: int = 10000,
-                 exclude_seen: bool = False, index_backend: str = "exact",
+                 top_k: int = 10, exclude_seen: bool = False,
+                 index_backend: str = "exact",
                  index_options: Optional[dict] = None,
                  index: Optional[TopKIndex] = None):
         self.model = model
@@ -139,53 +133,35 @@ class ColdStartServer:
             self._index_options = dict(index_options or {})
             self.index = build_index(model, target, backend=index_backend,
                                      **self._index_options)
-        self.cache = LRUCache(cache_capacity)
+        self._user_latents = self._encode_users()
         self.stats = ServerStats()
         self._source_graph = model._domain_parts(source)[3]
 
     # ------------------------------------------------------------------ #
     # Latent management
     # ------------------------------------------------------------------ #
+    def _encode_users(self) -> np.ndarray:
+        """Every source user's latent, in the index's dtype, read-only."""
+        # Follow the index's floating dtype: a float32 checkpoint must serve
+        # float32 end-to-end (float64 here would double the table's memory).
+        table = np.asarray(self.model.encode_users_batch(self.source),
+                           dtype=self.index.item_latents.dtype)
+        table.setflags(write=False)
+        return table
+
     def user_latents(self, users: Sequence[int]) -> np.ndarray:
-        """Latents for ``users``, encoding every cache miss in one batch."""
+        """Latents for ``users``: rows of the per-checkpoint table (a copy)."""
         users = np.asarray(users, dtype=np.int64)
-        if users.size and (users.min() < 0
-                           or users.max() >= self._source_graph.num_users):
+        num_users = self._user_latents.shape[0]
+        if users.size and (users.min() < 0 or users.max() >= num_users):
             raise ValueError(
                 f"user index out of range for source domain {self.source!r} "
-                f"(num_users={self._source_graph.num_users})"
+                f"(num_users={num_users})"
             )
-        # Follow the index's floating dtype: a float32 checkpoint must serve
-        # float32 end-to-end (hardcoding float64 here would silently double
-        # the latent-buffer and cache memory on the hot path).
-        latents = np.empty((users.shape[0], self.index.dim),
-                           dtype=self.index.item_latents.dtype)
-        miss_positions: List[int] = []
-        for position, user in enumerate(users):
-            cached = self.cache.get(int(user))
-            if cached is None:
-                miss_positions.append(position)
-            else:
-                latents[position] = cached
-        if miss_positions:
-            miss_users = users[miss_positions]
-            # One vectorized VBGE pass covers every miss; duplicate users in
-            # one batch are encoded once.
-            unique_users, inverse = np.unique(miss_users, return_inverse=True)
-            encoded = np.asarray(
-                self.model.encode_users_batch(self.source, unique_users),
-                dtype=latents.dtype)
-            self.stats.users_encoded += int(unique_users.shape[0])
-            for offset, position in enumerate(miss_positions):
-                latents[position] = encoded[inverse[offset]]
-            for row, user in zip(encoded, unique_users):
-                # put() copies on insert, so the batch array is never pinned
-                # by a cached row and callers cannot alias cache entries.
-                self.cache.put(int(user), row)
-        return latents
+        return self._user_latents[users]
 
     def refresh(self) -> None:
-        """Rebuild the item index and drop cached user latents.
+        """Rebuild the item index and the user-latent table.
 
         Call after the model checkpoint changes (e.g. between training
         epochs in an online-learning loop).  The rebuilt index keeps the
@@ -195,7 +171,7 @@ class ColdStartServer:
         self.index = build_index(self.model, self.target,
                                  backend=self._index_backend,
                                  **self._index_options)
-        self.cache.clear()
+        self._user_latents = self._encode_users()
 
     # ------------------------------------------------------------------ #
     # Serving
@@ -227,7 +203,7 @@ class ColdStartServer:
     def score_pairs(self, users: Sequence[int], items: Sequence[int]) -> np.ndarray:
         """Pairwise scores compatible with the evaluation ``Scorer`` protocol.
 
-        Allows plugging the server (with its caches) straight into
+        Allows plugging the server straight into
         :class:`~repro.eval.LeaveOneOutEvaluator`.
 
         Item indices are validated: a stray ``-1`` (the padding value of
@@ -242,11 +218,11 @@ class ColdStartServer:
                 f"(num_items={self.index.num_items}); got values in "
                 f"[{items.min()}, {items.max()}] — is a -1 padding sentinel "
                 f"leaking into score_pairs?")
-        unique_users, inverse = np.unique(users, return_inverse=True)
-        latents = self.user_latents(unique_users)[inverse]
+        latents = self.user_latents(users)
         return np.sum(latents * self.index.item_latents[items], axis=-1)
 
     def __repr__(self) -> str:
         return (f"ColdStartServer({self.source}->{self.target}, "
+                f"users={self._user_latents.shape[0]}, "
                 f"items={self.index.num_items}, top_k={self.top_k}, "
-                f"index={self._index_backend!r}, cache={self.cache!r})")
+                f"index={self._index_backend!r})")

@@ -65,7 +65,6 @@ class TestServeDispatch:
         assert [r["batch_size"] for r in batched] == [1, 16]
         assert all(np.isfinite(r["users_per_sec"]) and r["users_per_sec"] > 0
                    for r in rows)
-        assert any(r["mode"] == "lru_cached" for r in rows)
 
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError):

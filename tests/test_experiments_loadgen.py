@@ -27,7 +27,7 @@ def trained_model(small_scenario):
 
 
 def make_server(trained_model, small_scenario, **kwargs):
-    defaults = dict(top_k=5, cache_capacity=256)
+    defaults = dict(top_k=5)
     defaults.update(kwargs)
     return ColdStartServer(trained_model, small_scenario.domain_x.name,
                            small_scenario.domain_y.name, **defaults)
@@ -91,26 +91,16 @@ class TestRunLoadTest:
                 <= result.latency["p99_ms"])
         assert result.batches_flushed >= 1
 
-    def test_skewed_traffic_hits_cache(self, trained_model, small_scenario):
-        server = make_server(trained_model, small_scenario)
-        num_users = small_scenario.domain_x.graph.num_users
-        traffic = generate_traffic(128, num_users, seed=1, hot_fraction=0.1)
-        result = run_load_test(server, traffic, workers=2, max_batch_size=16)
-        assert result.cache_hits + result.cache_misses >= result.requests
-        assert 0.0 < result.cache_hit_rate < 1.0
-        # Unique users encoded, not one encode per request.
-        assert result.users_encoded == len(np.unique(traffic))
-
-    def test_counters_are_deltas_on_a_reused_server(self, trained_model,
-                                                    small_scenario):
+    def test_counters_are_per_run_on_a_reused_server(self, trained_model,
+                                                     small_scenario):
         server = make_server(trained_model, small_scenario)
         traffic = np.array([0, 1, 2, 3] * 4)
-        run_load_test(server, traffic, workers=2, max_batch_size=4)
-        server.cache.clear()
-        again = run_load_test(server, traffic, workers=2, max_batch_size=4)
-        # Same cold-cache run on a warm-counter server: deltas, not totals.
-        assert again.users_encoded == 4
-        assert again.cache_misses >= 4
+        first = run_load_test(server, traffic, workers=1, max_batch_size=4)
+        again = run_load_test(server, traffic, workers=1, max_batch_size=4)
+        # One worker fills no batch: every request is its own flush, and the
+        # second run counts its own flushes, not the server's total.
+        assert first.batches_flushed == again.batches_flushed == 16
+        assert server.stats.users_served == 32
 
     def test_bad_user_counts_as_error_not_crash(self, trained_model,
                                                 small_scenario):
@@ -122,14 +112,16 @@ class TestRunLoadTest:
         assert result.latencies_seconds.shape == (4,)
 
     def test_row_carries_the_artifact_schema(self, trained_model,
-                                             small_scenario):
+                                             small_scenario, tmp_path):
         server = make_server(trained_model, small_scenario)
         result = run_load_test(server, [0, 1, 2, 3], workers=1,
                                max_batch_size=2)
         row = result.as_row()
         for key in ("users_per_sec", "p50_ms", "p90_ms", "p99_ms",
-                    "cache_hit_rate", "requests", "workers"):
+                    "requests", "workers"):
             assert key in row
+        path = save_bench_serve([row], str(tmp_path / "BENCH_serve.json"))
+        assert load_bench_serve(path)["rows"][0]["requests"] == 4
 
     def test_invalid_arguments_rejected(self, trained_model, small_scenario):
         server = make_server(trained_model, small_scenario)
@@ -153,7 +145,6 @@ class TestLoadgenBenchmark:
             assert row["requests"] == 24
             assert row["users_per_sec"] > 0
             assert row["p50_ms"] <= row["p90_ms"] <= row["p99_ms"]
-            assert 0.0 <= row["cache_hit_rate"] <= 1.0
         assert sorted(row["workers"] for row in rows) == [1, 2]
 
     def test_nprobe_axis_applies_to_ivf_only(self):
@@ -183,7 +174,7 @@ class TestBenchServeArtifact:
     def _rows(self):
         return [{"backend": "exact", "max_batch_size": 8, "workers": 2,
                  "nprobe": "", "users_per_sec": 1000.0, "p50_ms": 1.0,
-                 "p90_ms": 2.0, "p99_ms": 3.0, "cache_hit_rate": 0.5}]
+                 "p90_ms": 2.0, "p99_ms": 3.0}]
 
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "BENCH_serve.json")
@@ -191,7 +182,7 @@ class TestBenchServeArtifact:
                                    config={"scenario": "game_video"})
         payload = load_bench_serve(written)
         assert payload["benchmark"] == "bench-serve"
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert payload["config"]["scenario"] == "game_video"
         assert payload["rows"][0]["users_per_sec"] == 1000.0
         assert payload["generated_unix"] > 0

@@ -7,7 +7,6 @@ from repro.core import CDRIB, CDRIBConfig
 from repro.serve import (
     ColdStartServer,
     ItemIndex,
-    LRUCache,
     RequestBatcher,
     brute_force_ranking,
 )
@@ -46,25 +45,19 @@ def server(trained_model, small_scenario):
         source=small_scenario.domain_x.name,
         target=small_scenario.domain_y.name,
         top_k=10,
-        cache_capacity=32,
     )
 
 
 class TestEncodeBatchParity:
     """The serving encoders must match the eval-cache Tensor path exactly."""
 
-    def test_users_full_and_batch(self, trained_model, small_scenario):
+    def test_users(self, trained_model, small_scenario):
         name = small_scenario.domain_x.name
         trained_model.refresh_eval_cache()
         reference = trained_model._eval_cache[name].users.deterministic().data
-
         # Full-table encoding runs the same-shaped GEMMs as the reference,
-        # so equality is bitwise; the index-restricted path runs smaller
-        # GEMMs, where BLAS kernel selection may differ in the last ulp.
+        # so equality is bitwise.
         assert np.array_equal(trained_model.encode_users_batch(name), reference)
-        indices = np.array([5, 0, 11, 5, 3])
-        np.testing.assert_allclose(trained_model.encode_users_batch(name, indices),
-                                   reference[indices], rtol=1e-12, atol=1e-14)
 
     def test_items(self, trained_model, small_scenario):
         name = small_scenario.domain_y.name
@@ -72,14 +65,12 @@ class TestEncodeBatchParity:
         reference = trained_model._eval_cache[name].items.deterministic().data
         assert np.array_equal(trained_model.encode_items(name), reference)
 
-    def test_single_layer_model_batch_parity(self, small_scenario):
+    def test_single_layer_model_parity(self, small_scenario):
         model = CDRIB(small_scenario, CDRIBConfig(embedding_dim=8, num_layers=1, seed=1))
         name = small_scenario.domain_x.name
         model.refresh_eval_cache()
         reference = model._eval_cache[name].users.deterministic().data
-        indices = np.array([2, 7, 2])
-        np.testing.assert_allclose(model.encode_users_batch(name, indices),
-                                   reference[indices], rtol=1e-12, atol=1e-14)
+        assert np.array_equal(model.encode_users_batch(name), reference)
 
     def test_unknown_domain_raises(self, trained_model):
         with pytest.raises(KeyError):
@@ -181,7 +172,7 @@ class TestItemIndexDtype:
 
 class TestFloat32EndToEnd:
     """A float32 checkpoint must serve float32 end-to-end (no silent upcast
-    doubling latent-buffer / cache memory on the hot path)."""
+    doubling the user-latent table's memory on the hot path)."""
 
     def test_top_k_score_buffer_follows_dtype(self, rng):
         latents = rng.standard_normal((30, 8)).astype(np.float32)
@@ -192,40 +183,38 @@ class TestFloat32EndToEnd:
         items, scores = index.top_k(latents[:1], k=5, exclude=[[0, 1]])
         assert scores.dtype == np.float32
 
+    @staticmethod
+    def _float32_server(model, scenario):
+        target = scenario.domain_y.name
+        index = ItemIndex(model.encode_items(target).astype(np.float32), target)
+        return ColdStartServer(model, scenario.domain_x.name, target, top_k=5,
+                               index=index)
+
     def test_server_latents_and_scores_follow_index_dtype(
             self, trained_model, small_scenario, monkeypatch):
-        server = ColdStartServer(trained_model, small_scenario.domain_x.name,
-                                 small_scenario.domain_y.name, top_k=5,
-                                 cache_capacity=16)
-        server.index = ItemIndex(server.index.item_latents.astype(np.float32),
-                                 server.index.domain)
         original = trained_model.encode_users_batch
 
-        def encode_f32(domain, indices=None):
-            return original(domain, indices).astype(np.float32)
+        def encode_f32(domain):
+            return original(domain).astype(np.float32)
 
         monkeypatch.setattr(trained_model, "encode_users_batch", encode_f32)
-        latents = server.user_latents([0, 1, 2])
-        assert latents.dtype == np.float32
-        rec = server.recommend_one(3)
-        assert rec.scores.dtype == np.float32
-        # Cache entries must be float32 too (the memory the bug doubled),
-        # and a cache-hit replay must stay float32.
-        assert server.cache.get(0).dtype == np.float32
-        assert server.user_latents([0, 3]).dtype == np.float32
+        server = self._float32_server(trained_model, small_scenario)
+        assert server.user_latents([0, 1, 2]).dtype == np.float32
+        assert server.recommend_one(3).scores.dtype == np.float32
 
     def test_float64_encoder_downcast_to_float32_index(
             self, trained_model, small_scenario):
-        # Even without patching the encoder (which emits float64), a float32
-        # index must pull the serve path down to float32, not up to float64.
-        server = ColdStartServer(trained_model, small_scenario.domain_x.name,
-                                 small_scenario.domain_y.name, top_k=5,
-                                 cache_capacity=16)
-        server.index = ItemIndex(server.index.item_latents.astype(np.float32),
-                                 server.index.domain)
-        assert server.user_latents([1, 2]).dtype == np.float32
-        assert server.cache.get(1).dtype == np.float32
-        assert server.recommend_one(1).scores.dtype == np.float32
+        # The encoder emits float64; a float32 index must pull the whole
+        # table (its memory) and the serve path down to float32.
+        server = self._float32_server(trained_model, small_scenario)
+        num_users = small_scenario.domain_x.num_users
+        table = server.user_latents(np.arange(num_users))
+        assert table.dtype == np.float32
+        reference = trained_model.encode_users_batch(small_scenario.domain_x.name)
+        assert np.array_equal(table, reference.astype(np.float32))
+        rec = server.recommend_one(1)
+        assert rec.scores.dtype == np.float32
+        assert server.score_pairs([1], rec.items[:1]).dtype == np.float32
 
 
 class TestNaNScoreContract:
@@ -283,7 +272,7 @@ class TestColdStartServer:
         model = CDRIB(small_scenario, CDRIBConfig(embedding_dim=8, num_layers=1,
                                                   seed=2))
         server = ColdStartServer(model, source=name, target=name,
-                                 exclude_seen=True, cache_capacity=0)
+                                 exclude_seen=True)
         graph = small_scenario.domain_x.graph
         user = int(np.argmax(graph.user_degrees()))
         seen = set(graph.items_of_user(user).tolist())
@@ -329,8 +318,7 @@ class TestColdStartServer:
 
     def test_batched_equals_per_user(self, trained_model, small_scenario):
         fresh = ColdStartServer(trained_model, small_scenario.domain_x.name,
-                                small_scenario.domain_y.name, top_k=5,
-                                cache_capacity=0)
+                                small_scenario.domain_y.name, top_k=5)
         users = [1, 4, 9, 2]
         batched = fresh.recommend(users)
         for user, rec in zip(users, batched):
@@ -341,38 +329,65 @@ class TestColdStartServer:
             np.testing.assert_allclose(rec.scores, single.scores,
                                        rtol=1e-12, atol=1e-12)
 
-    def test_cache_hits_and_stats(self, trained_model, small_scenario):
-        fresh = ColdStartServer(trained_model, small_scenario.domain_x.name,
-                                small_scenario.domain_y.name, cache_capacity=16)
-        fresh.recommend([1, 2, 3])
-        encoded_first = fresh.stats.users_encoded
-        assert encoded_first == 3
-        fresh.recommend([2, 3, 4])
-        assert fresh.stats.users_encoded == encoded_first + 1
-        assert fresh.cache.hits == 2
-        assert fresh.stats.users_served == 6
-
-    def test_duplicate_users_encoded_once(self, trained_model, small_scenario):
-        fresh = ColdStartServer(trained_model, small_scenario.domain_x.name,
-                                small_scenario.domain_y.name, cache_capacity=0)
-        fresh.recommend([5, 5, 5, 6])
-        assert fresh.stats.users_encoded == 2
-
     def test_refresh_rebuilds_after_weight_change(self, trained_model, small_scenario):
         server = ColdStartServer(trained_model, small_scenario.domain_x.name,
-                                 small_scenario.domain_y.name, cache_capacity=8)
+                                 small_scenario.domain_y.name)
         before = server.recommend_one(0, k=5)
         state = trained_model.state_dict()
         try:
             perturbed = {k: v + 0.05 for k, v in state.items()}
             trained_model.load_state_dict(perturbed)
             server.refresh()
-            assert len(server.cache) == 0
             after = server.recommend_one(0, k=5)
             assert not np.array_equal(before.scores, after.scores)
         finally:
             trained_model.load_state_dict(state)
             trained_model.refresh_eval_cache()
+
+    def test_user_table_equals_eval_cache(self, trained_model, small_scenario):
+        """One latent source for eval and serve: the served table is
+        bitwise the eval cache, at construction and after ``refresh()``."""
+        source = small_scenario.domain_x.name
+        everyone = np.arange(small_scenario.domain_x.num_users)
+
+        def eval_latents():
+            trained_model.refresh_eval_cache()
+            return trained_model._eval_cache[source].users.mu.data
+
+        server = ColdStartServer(trained_model, source,
+                                 small_scenario.domain_y.name)
+        assert np.array_equal(server.user_latents(everyone), eval_latents())
+        state = trained_model.state_dict()
+        try:
+            trained_model.load_state_dict({k: v * 1.1 for k, v in state.items()})
+            stale = server.user_latents(everyone)
+            server.refresh()
+            fresh = server.user_latents(everyone)
+            assert not np.array_equal(fresh, stale)
+            assert np.array_equal(fresh, eval_latents())
+        finally:
+            trained_model.load_state_dict(state)
+            trained_model.refresh_eval_cache()
+
+    def test_mutating_returned_latents_does_not_leak(self, server):
+        """Callers own what ``user_latents`` returns: writing to it must not
+        reach the table that later requests are served from."""
+        before = server.recommend([2, 5], k=5)
+        latents = server.user_latents([2, 5])
+        original = latents.copy()
+        latents[:] = 0.0
+        assert np.array_equal(server.user_latents([2, 5]), original)
+        after = server.recommend([2, 5], k=5)
+        for old, new in zip(before, after):
+            assert np.array_equal(old.items, new.items)
+            assert np.array_equal(old.scores, new.scores)
+
+    def test_out_of_range_users_rejected(self, server, small_scenario):
+        num_users = small_scenario.domain_x.num_users
+        for bad in ([-1], [num_users], [0, num_users + 3]):
+            with pytest.raises(ValueError, match="user index out of range"):
+                server.user_latents(bad)
+        assert server.user_latents([num_users - 1]).shape == (1, server.index.dim)
 
     def test_score_pairs_scorer_protocol(self, server, small_scenario, trained_model):
         users = np.array([0, 0, 3, 3], dtype=np.int64)
@@ -430,134 +445,6 @@ class TestMetricsConsistency:
             optimistic = rank_of_positive(rolled, tie_break="optimistic")
             pessimistic = rank_of_positive(rolled, tie_break="pessimistic")
             assert optimistic <= position <= pessimistic
-
-
-class TestLRUCache:
-    def test_eviction_order(self):
-        cache = LRUCache(2)
-        cache.put("a", np.array([1.0]))
-        cache.put("b", np.array([2.0]))
-        assert cache.get("a") is not None  # refresh "a"
-        cache.put("c", np.array([3.0]))   # evicts "b"
-        assert "b" not in cache
-        assert "a" in cache and "c" in cache
-
-    def test_zero_capacity_disables(self):
-        cache = LRUCache(0)
-        cache.put("a", np.array([1.0]))
-        assert cache.get("a") is None
-        assert len(cache) == 0
-
-    def test_hit_rate(self):
-        cache = LRUCache(4)
-        assert cache.hit_rate == 0.0
-        cache.put("a", np.array([1.0]))
-        cache.get("a")
-        cache.get("z")
-        assert cache.hit_rate == pytest.approx(0.5)
-
-    def test_negative_capacity_raises(self):
-        with pytest.raises(ValueError):
-            LRUCache(-1)
-
-    def test_put_copies_instead_of_aliasing(self):
-        """Aliasing regression: put() must own a copy — a read-only view
-        still shares memory with the caller's writable base array, so
-        mutating the original after put() silently corrupted future hits."""
-        cache = LRUCache(4)
-        value = np.array([1.0, 2.0, 3.0])
-        cache.put("u", value)
-        value[0] = 99.0                      # caller reuses its buffer
-        np.testing.assert_array_equal(cache.get("u"), [1.0, 2.0, 3.0])
-
-    def test_put_does_not_alias_row_views(self):
-        # The serving pattern: rows of a batch-encode result are put() one
-        # by one; mutating the batch array afterwards must not reach cache.
-        cache = LRUCache(4)
-        batch = np.arange(6, dtype=np.float64).reshape(2, 3)
-        cache.put(0, batch[0])
-        cache.put(1, batch[1])
-        batch[:] = -1.0
-        np.testing.assert_array_equal(cache.get(0), [0.0, 1.0, 2.0])
-        np.testing.assert_array_equal(cache.get(1), [3.0, 4.0, 5.0])
-
-    def test_entries_are_read_only(self):
-        """Mutation regression: a caller writing to a returned latent must
-        fail loudly instead of silently corrupting every future hit."""
-        cache = LRUCache(4)
-        cache.put("u", np.array([1.0, 2.0, 3.0]))
-        hit = cache.get("u")
-        with pytest.raises(ValueError):
-            hit[0] = 99.0
-        np.testing.assert_array_equal(cache.get("u"), [1.0, 2.0, 3.0])
-
-    def test_overwritten_entries_stay_read_only(self):
-        cache = LRUCache(4)
-        cache.put("u", np.array([1.0]))
-        cache.put("u", np.array([2.0]))
-        hit = cache.get("u")
-        assert not hit.flags.writeable
-        np.testing.assert_array_equal(hit, [2.0])
-
-
-class TestLRUCacheEvictionEdgeCases:
-    """Eviction-order corners left unpinned by the original serving PR."""
-
-    def test_overwrite_refreshes_recency_without_evicting(self):
-        # Re-putting an existing key must not push the cache over capacity
-        # (no spurious eviction) and must make that key most-recently-used.
-        cache = LRUCache(2)
-        cache.put("a", np.array([1.0]))
-        cache.put("b", np.array([2.0]))
-        cache.put("a", np.array([3.0]))     # overwrite, refresh recency
-        assert len(cache) == 2
-        assert "a" in cache and "b" in cache
-        cache.put("c", np.array([4.0]))     # evicts "b", the LRU entry
-        assert "b" not in cache
-        assert "a" in cache and "c" in cache
-        np.testing.assert_array_equal(cache.get("a"), [3.0])
-
-    def test_missed_get_does_not_disturb_recency(self):
-        cache = LRUCache(2)
-        cache.put("a", np.array([1.0]))
-        cache.put("b", np.array([2.0]))
-        assert cache.get("zzz") is None     # miss must not touch the order
-        cache.put("c", np.array([3.0]))     # still evicts "a" (oldest)
-        assert "a" not in cache
-        assert "b" in cache and "c" in cache
-
-    def test_capacity_one_thrashes_correctly(self):
-        cache = LRUCache(1)
-        cache.put("a", np.array([1.0]))
-        cache.put("b", np.array([2.0]))
-        assert "a" not in cache
-        np.testing.assert_array_equal(cache.get("b"), [2.0])
-        assert len(cache) == 1
-
-    def test_interleaved_get_put_eviction_order(self):
-        cache = LRUCache(3)
-        for key in "abc":
-            cache.put(key, np.array([float(ord(key))]))
-        cache.get("a")                       # order now b, c, a
-        cache.put("d", np.array([4.0]))      # evicts "b"
-        cache.get("c")                       # order now a, d, c
-        cache.put("e", np.array([5.0]))      # evicts "a"
-        assert "b" not in cache and "a" not in cache
-        assert set("cde") == {k for k in "abcde" if k in cache}
-
-    def test_clear_keeps_counters_and_resets_order(self):
-        cache = LRUCache(2)
-        cache.put("a", np.array([1.0]))
-        cache.get("a")
-        cache.get("miss")
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.hits == 1 and cache.misses == 1
-        # A post-clear fill starts a fresh eviction order.
-        cache.put("x", np.array([1.0]))
-        cache.put("y", np.array([2.0]))
-        cache.put("z", np.array([3.0]))
-        assert "x" not in cache and "y" in cache and "z" in cache
 
 
 class TestRequestBatcher:
@@ -769,13 +656,12 @@ class TestRequestBatcherFlushEdgeCases:
 
 
 class TestServerStatsContract:
-    """Pins the ServerStats / LRUCache counting contract against the
-    RequestBatcher's flush semantics (see the ServerStats docstring)."""
+    """Pins the ServerStats counting contract against the RequestBatcher's
+    flush semantics (see the ServerStats docstring)."""
 
-    def _fresh(self, trained_model, small_scenario, capacity=16):
+    def _fresh(self, trained_model, small_scenario):
         return ColdStartServer(trained_model, small_scenario.domain_x.name,
-                               small_scenario.domain_y.name, top_k=5,
-                               cache_capacity=capacity)
+                               small_scenario.domain_y.name, top_k=5)
 
     def test_requests_counts_recommend_calls_not_flushes(self, trained_model,
                                                          small_scenario):
@@ -801,26 +687,18 @@ class TestServerStatsContract:
         assert server.stats.requests == 1
         assert server.stats.users_served == 4
 
-    def test_cache_counts_per_lookup_including_batch_duplicates(
-            self, trained_model, small_scenario):
-        # Duplicates within one batch: each occurrence is its own cache
-        # lookup (miss), but the encoder runs once per unique user.
+    def test_users_served_counts_duplicate_slots(self, trained_model,
+                                                 small_scenario):
         server = self._fresh(trained_model, small_scenario)
         server.recommend([7, 7, 7, 8])
-        assert server.cache.misses == 4
-        assert server.cache.hits == 0
-        assert server.stats.users_encoded == 2
-        assert server.stats.users_served == 4
-        # The batch populated the cache, so a replay is all hits.
         server.recommend([7, 8])
-        assert server.cache.hits == 2
-        assert server.stats.users_encoded == 2     # nothing re-encoded
+        assert server.stats.requests == 2
+        assert server.stats.users_served == 6
 
-    def test_zero_capacity_cache_counts_every_lookup_as_miss(
-            self, trained_model, small_scenario):
-        server = self._fresh(trained_model, small_scenario, capacity=0)
-        server.recommend([1, 2])
-        server.recommend([1, 2])
-        assert server.cache.misses == 4
-        assert server.cache.hits == 0
-        assert server.stats.users_encoded == 4     # re-encoded every batch
+    def test_failed_recommend_counts_nothing(self, trained_model,
+                                             small_scenario):
+        server = self._fresh(trained_model, small_scenario)
+        with pytest.raises(ValueError):
+            server.recommend([1, 10**9])
+        assert server.stats.requests == 0
+        assert server.stats.users_served == 0

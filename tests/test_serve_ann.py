@@ -298,11 +298,10 @@ class TestServerWithIVF:
                                                   small_scenario):
         source = small_scenario.domain_x.name
         target = small_scenario.domain_y.name
-        exact = ColdStartServer(trained_model, source, target, top_k=10,
-                                cache_capacity=0)
+        exact = ColdStartServer(trained_model, source, target, top_k=10)
         num_clusters = max(2, exact.index.num_items // 8)
         ivf = ColdStartServer(trained_model, source, target, top_k=10,
-                              cache_capacity=0, index_backend="ivf",
+                              index_backend="ivf",
                               index_options={"num_clusters": num_clusters,
                                              "nprobe": max(1, num_clusters // 2),
                                              "seed": 0})

@@ -26,7 +26,7 @@ def trained_model(small_scenario):
 
 
 def make_server(trained_model, small_scenario, **kwargs):
-    defaults = dict(top_k=5, cache_capacity=256)
+    defaults = dict(top_k=5)
     defaults.update(kwargs)
     return ColdStartServer(trained_model, small_scenario.domain_x.name,
                            small_scenario.domain_y.name, **defaults)
