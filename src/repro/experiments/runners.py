@@ -658,8 +658,8 @@ def run_ann_benchmark(num_items: int = 200_000, dim: int = 64,
     microbenchmark practice (ambient load only ever slows a sweep down),
     shared with :func:`run_training_benchmark`.  ``num_clusters`` /
     ``nprobe`` of ``None`` use the IVF defaults — the configuration gated by
-    ``benchmarks/test_ann_retrieval.py`` (≥5x throughput, recall@10 ≥ 0.95
-    at 200k+ items).
+    ``benchmarks/test_ann_retrieval.py`` (IVF faster than exact, recall@10
+    ≥ 0.95 at 200k+ items).
     """
     from ..eval import recall_against_exact
     from ..serve import make_index

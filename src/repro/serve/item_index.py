@@ -5,14 +5,14 @@ source-domain latent and every target-domain item latent (Section III of the
 paper).  The item side of that product is *static per checkpoint*: it only
 changes when the model parameters change.  :class:`ItemIndex` therefore
 encodes all target-domain items once (a single fused no-grad propagation
-pass) and answers top-K queries against the cached matrix with a partial
-sort (``np.argpartition``) instead of ranking the full catalogue.
+pass) and answers top-K queries against the cached matrix with one batched
+block-max selection instead of ranking the full catalogue.
 
 Tie handling is exact: results are ordered by descending score with ties
 broken by ascending item index, which is precisely the order produced by a
-brute-force stable full ranking.  The partial sort selects the boundary
-items explicitly, so a score tie that straddles the K-th position never
-depends on ``argpartition``'s arbitrary internal ordering.
+brute-force stable full ranking.  The selection keeps *every* item that
+could tie at the K-th position and orders them all with one ``lexsort``,
+so nothing depends on a partition's arbitrary internal ordering.
 
 Retrieval is *pluggable*: :class:`ItemIndex` is the ``"exact"`` reference
 implementation of the :class:`TopKIndex` protocol; the approximate IVF
@@ -22,7 +22,8 @@ backend (``"ivf"``) and the backend registry live in
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, Tuple, runtime_checkable
+import math
+from typing import List, Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
@@ -122,7 +123,7 @@ class ItemIndex:
 
     def top_k(self, user_latents: np.ndarray, k: int,
               exclude: Optional[list] = None) -> Tuple[np.ndarray, np.ndarray]:
-        """Top-``k`` items per user via partial sort.
+        """Top-``k`` items per user via one batched block-max selection.
 
         Parameters
         ----------
@@ -132,54 +133,52 @@ class ItemIndex:
             Number of items to return per user (clamped to the catalogue size).
         exclude:
             Optional per-user sequences of item indices to remove from the
-            candidates (e.g. items the user already interacted with).
+            candidates (e.g. items the user already interacted with).  Ids
+            outside ``[0, num_items)`` raise :class:`ValueError`.
 
         Returns
         -------
         ``(items, scores)`` arrays of shape (batch, k), each row ordered by
         descending score, ties broken by ascending item index — identical to a
-        brute-force stable full ranking.  When ``exclude`` leaves a row with
-        fewer than ``k`` candidates, its trailing slots are padded with item
-        ``-1`` and score ``-inf``; excluded items are never returned.  The
-        score dtype follows the query/index promotion (float32 stays
+        brute-force stable full ranking.  Scores are entries of the
+        :meth:`scores` matrix, bit for bit.  When ``exclude`` leaves a row
+        with fewer than ``k`` candidates, its trailing slots are padded with
+        item ``-1`` and score ``-inf``; excluded items are never returned.
+        The score dtype follows the query/index promotion (float32 stays
         float32).
 
         NaN scores are *rejected* (:class:`ValueError`) rather than ranked:
-        ``argpartition``'s boundary-threshold comparison and ``lexsort``
-        silently misorder NaNs, so a NaN in a user or item latent would
-        otherwise produce a confidently wrong list.
+        comparisons against a NaN threshold and ``lexsort`` silently misorder
+        NaNs, so a NaN in a user or item latent would otherwise produce a
+        confidently wrong list.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
+        batch = np.atleast_2d(np.asarray(user_latents)).shape[0]
+        num_items = self.num_items
+        banned = prepare_exclude(exclude, batch, num_items)
         score_matrix = self.scores(user_latents)
-        if np.isnan(score_matrix).any():
-            raise ValueError(
-                "top_k scores contain NaN (NaN in user or item latents?); "
-                "refusing to rank — NaN ordering under argpartition/lexsort "
-                "is silently wrong")
-        batch = score_matrix.shape[0]
-        if exclude is not None and len(exclude) != batch:
-            raise ValueError("exclude must hold one sequence per user")
-        k = min(k, self.num_items)
-
-        items = np.empty((batch, k), dtype=np.int64)
-        scores = np.empty((batch, k), dtype=score_matrix.dtype)
-        for row in range(batch):
-            row_scores = score_matrix[row]
-            banned = None
-            if exclude is not None and len(exclude[row]):
-                banned = np.asarray(list(exclude[row]), dtype=np.int64)
-                row_scores = row_scores.copy()
-                row_scores[banned] = -np.inf
-            top_items = _exact_top_k(row_scores, k)
-            top_scores = row_scores[top_items]
-            if banned is not None:
-                overflow = np.isin(top_items, banned)
-                top_items = np.where(overflow, -1, top_items)
-                top_scores = np.where(overflow, -np.inf, top_scores)
-            items[row] = top_items
-            scores[row] = top_scores
+        if banned is not None:
+            # Banned scores become -inf in the matrix this call owns; a NaN
+            # there would be overwritten, so check those entries first.
+            rows = np.repeat(np.arange(batch), [b.size for b in banned])
+            banned_items = np.concatenate(banned)
+            if np.isnan(score_matrix[rows, banned_items]).any():
+                raise ValueError(_NAN_MESSAGE)
+            score_matrix[rows, banned_items] = -np.inf
+        items, scores = _block_max_top_k(score_matrix, min(k, num_items))
+        if banned is not None:
+            # A banned item is picked only when fewer than k others remain.
+            picked = np.isin(items + num_items * np.arange(batch)[:, None],
+                             banned_items + num_items * rows)
+            items[picked] = -1
+            scores[picked] = -np.inf
         return items, scores
+
+
+_NAN_MESSAGE = ("top_k scores contain NaN (NaN in user or item latents?); "
+                "refusing to rank — NaN ordering under comparison/lexsort "
+                "is silently wrong")
 
 
 def prepare_item_latents(item_latents: np.ndarray) -> np.ndarray:
@@ -199,33 +198,76 @@ def prepare_item_latents(item_latents: np.ndarray) -> np.ndarray:
     return latents
 
 
-def _exact_top_k(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the ``k`` best scores, ties broken by ascending index.
+def prepare_exclude(exclude: Optional[list], batch: int,
+                    num_items: int) -> Optional[List[np.ndarray]]:
+    """Validate per-user exclusion lists as int64 arrays (shared by backends).
 
-    ``np.argpartition`` alone is not tie-stable at the K-th boundary, so the
-    boundary score is resolved explicitly: every item strictly above the
-    threshold is kept, and the remaining slots are filled with the
-    lowest-indexed items *at* the threshold (``np.where`` returns indices in
-    ascending order).  The selected set is then ordered by (-score, index).
-
-    NaN scores are rejected: a NaN threshold makes both boundary comparisons
-    (``>`` and ``==``) vacuously false, silently shrinking the selection,
-    and ``lexsort`` orders NaNs arbitrarily — the contract (pinned by
-    ``tests/test_serve.py``) is to raise instead.
+    Raises :class:`ValueError` unless there is one sequence per user and
+    every id lies in ``[0, num_items)``; a negative id would otherwise wrap
+    to the end of the catalogue under fancy indexing.  Returns ``None`` when
+    nothing is excluded.
     """
-    if np.isnan(scores).any():
-        raise ValueError("cannot rank scores containing NaN")
-    n = scores.shape[0]
-    if k >= n:
-        selected = np.arange(n)
+    if exclude is None:
+        return None
+    if len(exclude) != batch:
+        raise ValueError("exclude must hold one sequence per user")
+    banned = [np.asarray(list(row), dtype=np.int64) for row in exclude]
+    flat = np.concatenate([np.empty(0, dtype=np.int64)] + banned)
+    if flat.size == 0:
+        return None
+    if flat.min() < 0 or flat.max() >= num_items:
+        raise ValueError(
+            f"exclude ids must lie in [0, {num_items}), got "
+            f"{flat[(flat < 0) | (flat >= num_items)][0]}")
+    return banned
+
+
+def _block_max_top_k(scores: np.ndarray,
+                     k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Every row's ``k`` best ``(items, scores)``, ties by ascending index.
+
+    Each row is split into blocks of width ``isqrt(num_items)`` (plus a
+    shorter tail block) and reduced to block maxima in one pass over the
+    matrix, without copying it.  The row threshold is the k-th largest block
+    max: k distinct blocks reach it, so the k-th best score is at least the
+    threshold, and every item of the top k — ties included — lies in a
+    block whose max reaches it (about k blocks per row; every block when k
+    reaches the block count).  Only those blocks are gathered, entries below
+    the threshold dropped, and the rest ordered by (row, -score, item) with
+    one stable ``lexsort`` (gathered entries already run in (row, item)
+    order); the first k per row win.
+
+    ``max`` propagates NaN, so the small block-max array doubles as the NaN
+    check for the whole matrix.
+    """
+    batch, num_items = scores.shape
+    width = max(1, math.isqrt(num_items))
+    split = num_items - num_items % width
+    block_max = np.empty((batch, -(-num_items // width)), dtype=scores.dtype)
+    scores[:, :split].reshape(batch, split // width, width).max(
+        axis=2, out=block_max[:, :split // width])
+    if split < num_items:
+        scores[:, split:].max(axis=1, out=block_max[:, -1])
+    if np.isnan(block_max).any():
+        raise ValueError(_NAN_MESSAGE)
+    num_blocks = block_max.shape[1]
+    if k < num_blocks:
+        threshold = np.partition(block_max, num_blocks - k,
+                                 axis=1)[:, num_blocks - k]
     else:
-        partitioned = np.argpartition(scores, n - k)[n - k:]
-        threshold = scores[partitioned].min()
-        above = np.where(scores > threshold)[0]
-        at = np.where(scores == threshold)[0]
-        selected = np.concatenate([above, at[: k - above.shape[0]]])
-    order = np.lexsort((selected, -scores[selected]))
-    return selected[order]
+        threshold = np.full(batch, -np.inf, dtype=scores.dtype)
+    rows, blocks = np.nonzero(block_max >= threshold[:, None])
+    items = blocks[:, None] * width + np.arange(width)
+    candidates = scores[rows[:, None], np.minimum(items, num_items - 1)]
+    keep = (items < num_items) & (candidates >= threshold[rows, None])
+    rows = np.broadcast_to(rows[:, None], items.shape)[keep]
+    items, candidates = items[keep], candidates[keep]
+    order = np.lexsort((-candidates, rows))
+    # Every row keeps at least k candidates (argued above), so row r's
+    # winners are the k entries after the rows before it.
+    counts = np.bincount(rows, minlength=batch)
+    top = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+    return items[top], candidates[top]
 
 
 def brute_force_ranking(scores: np.ndarray) -> np.ndarray:

@@ -13,7 +13,8 @@ latent is too, and the set of users is closed.  The server therefore encodes
 it then
 
 1. gathers the users' rows from that read-only latent table,
-2. returns top-K items per user via partial sort against the item index.
+2. returns top-K items per user from one batched block-max selection
+   against the item index.
 
 Served user latents are bit-identical to the eval cache
 (``CDRIB._eval_cache``); scores agree with ``CDRIB.cold_start_scores`` up to

@@ -137,6 +137,99 @@ class TestItemIndex:
         assert np.all(np.isneginf(scores[0][1:]))
 
 
+class TestBatchedSelection:
+    """The block-max selection equals a brute-force stable ranking on
+    tie-heavy integer latents, at every catalogue/block-size edge."""
+
+    @staticmethod
+    def _check(index, users, k, exclude=None):
+        items, scores = index.top_k(users, k, exclude=exclude)
+        full_scores = index.scores(users)
+        assert items.shape == scores.shape == (users.shape[0],
+                                               min(k, index.num_items))
+        for row in range(users.shape[0]):
+            ranking = brute_force_ranking(full_scores[row])
+            if exclude is not None:
+                ranking = ranking[~np.isin(ranking, list(exclude[row]))]
+            expected = ranking[:k]
+            got = items[row]
+            assert np.array_equal(got[:expected.size], expected)
+            assert np.array_equal(scores[row, :expected.size],
+                                  full_scores[row, expected])
+            assert np.all(got[expected.size:] == -1)
+            assert np.all(np.isneginf(scores[row, expected.size:]))
+
+    @pytest.mark.parametrize("num_items", [1, 3, 15, 16, 17, 24, 25, 26,
+                                           99, 100, 101])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 5])
+    def test_matches_brute_force_with_ties(self, num_items, dtype, batch):
+        rng = np.random.default_rng(num_items * 7 + batch)
+        index = ItemIndex(rng.integers(-2, 3, (num_items, 3)).astype(dtype))
+        users = rng.integers(-2, 3, (batch, 3)).astype(dtype)
+        width = max(1, int(np.sqrt(num_items)))
+        num_blocks = -(-num_items // width)
+        # k = 5 exceeds the 1- and 3-item catalogues; num_blocks and beyond
+        # leave no block-max threshold to cut with.
+        for k in sorted({1, 2, 5, num_blocks, num_blocks + 1, num_items}):
+            self._check(index, users, k)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_exclusion_with_duplicates_and_short_rows(self, dtype):
+        rng = np.random.default_rng(11)
+        index = ItemIndex(rng.integers(-2, 3, (26, 3)).astype(dtype))
+        users = rng.integers(-2, 3, (4, 3)).astype(dtype)
+        exclude = [
+            [3, 3, 7, 3],                       # duplicates
+            list(range(24)),                    # 2 items left, k=5
+            [],                                 # nothing banned
+            set(range(26)) - {25},              # only the tail item left
+        ]
+        for k in (1, 5, 26):
+            self._check(index, users, k, exclude=exclude)
+
+    @pytest.mark.parametrize("exclude", [None, []])
+    def test_empty_batch(self, exclude):
+        items, scores = ItemIndex(np.ones((10, 3))).top_k(
+            np.ones((0, 3)), 3, exclude=exclude)
+        assert items.shape == scores.shape == (0, 3)
+
+
+class TestExcludeValidation:
+    """Both backends reject out-of-range exclusion ids the same way."""
+
+    @pytest.fixture(params=["exact", "ivf"])
+    def index(self, request):
+        from repro.serve import make_index
+
+        latents = np.random.default_rng(0).standard_normal((4, 2))
+        options = ({"num_clusters": 2, "nprobe": 2} if request.param == "ivf"
+                   else {})
+        return make_index(latents, backend=request.param, **options)
+
+    @pytest.mark.parametrize("exclude", [[[-1]], [[4]], [[0, 9]], [[1], [2]]])
+    def test_bad_exclude_raises(self, index, exclude):
+        # -1 used to wrap to the last item on the exact backend (silently
+        # dropping it), 4 raised IndexError there, and IVF ignored both.
+        with pytest.raises(ValueError, match="exclude"):
+            index.top_k(np.ones((1, 2)), 2, exclude=exclude)
+
+    def test_in_range_exclude_accepted(self, index):
+        items, _ = index.top_k(np.ones((1, 2)), 4, exclude=[[0, 3]])
+        assert set(items[0].tolist()) == {1, 2, -1}
+
+    def test_exact_validates_before_scoring(self, monkeypatch):
+        index = ItemIndex(np.ones((4, 2)))
+
+        def no_scoring(_):
+            raise AssertionError("scored before validating exclude")
+
+        monkeypatch.setattr(index, "scores", no_scoring)
+        for exclude in ([[-1]], [[0], [1]]):
+            with pytest.raises(ValueError, match="exclude"):
+                index.top_k(np.ones((1, 2)), 2, exclude=exclude)
+
+
 class TestItemIndexDtype:
     """The index must not silently double memory for float32 models."""
 
@@ -238,13 +331,34 @@ class TestNaNScoreContract:
     def test_nan_rejected_at_tie_boundary(self):
         # The silent failure mode: a NaN threshold at the K-th boundary makes
         # both boundary comparisons vacuously false.  k=2 over 4 items puts
-        # the NaN inside the partition; pre-fix this returned a wrong-shaped
-        # or wrongly-ordered selection instead of raising.
-        from repro.serve.item_index import _exact_top_k
-
-        scores = np.array([1.0, np.nan, 0.5, 2.0])
+        # the NaN among the candidates; unchecked, this returns a
+        # wrong-shaped or wrongly-ordered selection instead of raising.
+        index = ItemIndex(np.array([[1.0], [np.nan], [0.5], [2.0]]))
         with pytest.raises(ValueError, match="NaN"):
-            _exact_top_k(scores, 2)
+            index.top_k(np.ones((1, 1)), 2)
+
+    @pytest.mark.parametrize("item", [0, 12, 24, 25])
+    def test_nan_in_any_block_rejected(self, item):
+        # 26 items -> blocks of width 5 plus a one-item tail block (item 25).
+        latents = np.ones((26, 2))
+        latents[item, 1] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            ItemIndex(latents).top_k(np.ones((3, 2)), k=2)
+
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_nan_in_any_row_rejected(self, row):
+        query = np.ones((3, 2))
+        query[row, 0] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            ItemIndex(np.ones((26, 2))).top_k(query, k=2)
+
+    def test_nan_at_excluded_item_rejected(self):
+        # Exclusion overwrites banned scores with -inf; a NaN there must
+        # still be reported, not erased.
+        latents = np.ones((10, 2))
+        latents[4, 0] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            ItemIndex(latents).top_k(np.ones((1, 2)), k=2, exclude=[[4]])
 
     def test_ivf_rejects_nan_queries(self, rng):
         from repro.serve import IVFIndex
