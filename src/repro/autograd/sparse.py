@@ -103,8 +103,7 @@ def sparse_propagate_grad(push: Union[sp.spmatrix, np.ndarray],
                           weight_from: Union[Tensor, np.ndarray],
                           negative_slope: float = 0.1,
                           push_t: Union[sp.spmatrix, None] = None,
-                          pull_t: Union[sp.spmatrix, None] = None,
-                          pull_rows: Union[np.ndarray, None] = None) -> Tensor:
+                          pull_t: Union[sp.spmatrix, None] = None) -> Tensor:
     """Gradient-aware fused two-step propagation (training fast path).
 
     Computes ``leaky_relu(pull @ (leaky_relu(push @ (features @ W_to)) @
@@ -132,19 +131,11 @@ def sparse_propagate_grad(push: Union[sp.spmatrix, np.ndarray],
         LeakyReLU slope (paper fixes 0.1).
     push_t, pull_t:
         Optional precomputed CSR transposes of ``push`` / ``pull``; computed
-        on the fly when omitted.  ``pull_t`` is ignored when ``pull_rows``
-        restricts the pull step (the sliced transpose is built instead).
-    pull_rows:
-        Optional row subset of ``pull``: restricts the final pull step (and
-        hence the output and its gradient flow) to a batch of nodes.  The
-        interim step still spans the full graph, which is required for
-        exactness; the backward pass scatters through the sliced adjacency
-        back into full-graph feature gradients.
+        on the fly when omitted.
 
     Returns
     -------
-    (n_self, f) Tensor — or (len(pull_rows), f) when ``pull_rows`` is given —
-    wired into the autograd graph.
+    (n_self, f) Tensor wired into the autograd graph.
     """
     push = _ensure_csr(push)
     pull = _ensure_csr(pull)
@@ -167,11 +158,7 @@ def sparse_propagate_grad(push: Union[sp.spmatrix, np.ndarray],
     scale_in = np.where(interim_pre > 0, 1.0, negative_slope)
     interim = interim_pre * scale_in
     messages = interim @ w_from.data
-    if pull_rows is not None:
-        pull_sel = pull[np.asarray(pull_rows, dtype=np.int64)]
-    else:
-        pull_sel = pull
-    returned_pre = _csr_dot(pull_sel, messages)
+    returned_pre = _csr_dot(pull, messages)
     scale_out = np.where(returned_pre > 0, 1.0, negative_slope)
     out = returned_pre * scale_out
 
@@ -180,10 +167,7 @@ def sparse_propagate_grad(push: Union[sp.spmatrix, np.ndarray],
         return Tensor(out)
 
     push_back = push.T.tocsr() if push_t is None else _ensure_csr(push_t)
-    if pull_rows is not None:
-        pull_back = pull_sel.T.tocsr()
-    else:
-        pull_back = pull.T.tocsr() if pull_t is None else _ensure_csr(pull_t)
+    pull_back = pull.T.tocsr() if pull_t is None else _ensure_csr(pull_t)
 
     def backward(grad):
         g_returned = np.asarray(grad) * scale_out

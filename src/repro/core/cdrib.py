@@ -19,7 +19,7 @@ departure from the EMCDR paradigm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -78,38 +78,6 @@ class DomainLatents:
     items: GaussianLatent
 
 
-def _touched(index_arrays) -> Optional[np.ndarray]:
-    """Sorted unique union of the given index arrays (None entries skipped)."""
-    parts = [np.asarray(a).reshape(-1) for a in index_arrays if a is not None]
-    if not parts:
-        return None
-    return np.unique(np.concatenate(parts))
-
-
-def _local_indices(touched_rows: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Map global node indices to positions within the sorted touched set."""
-    return np.searchsorted(touched_rows, np.asarray(index))
-
-
-def _sliced_z(latent: GaussianLatent, touched_rows: Optional[np.ndarray]
-              ) -> Optional[Tensor]:
-    """Materialise ``z`` for the touched rows only (subgraph training).
-
-    Elementwise, ``(mu + sigma * noise)[rows] == mu[rows] + sigma[rows] *
-    noise[rows]`` — so the sliced sample is bitwise-equal to slicing the full
-    sample, while gradient buffers stay (touched, F)-sized.
-    """
-    if touched_rows is None or touched_rows.size == 0:
-        return None
-    if latent.z is not None:  # eval mode / deterministic encoder: z is mu
-        return ops.gather_rows(latent.z, touched_rows)
-    mu_rows = ops.gather_rows(latent.mu, touched_rows)
-    sigma_rows = ops.gather_rows(latent.sigma, touched_rows)
-    return ops.gaussian_reparameterize(
-        mu_rows, sigma_rows, noise=latent.noise[touched_rows]
-    )
-
-
 class CDRIB(Module):
     """Cross-Domain Recommendation via variational Information Bottleneck."""
 
@@ -141,16 +109,15 @@ class CDRIB(Module):
     # ------------------------------------------------------------------ #
     # Encoding
     # ------------------------------------------------------------------ #
-    def encode_domains(self, fused: bool = True,
-                       defer_sample: bool = False) -> Dict[str, DomainLatents]:
+    def encode_domains(self, fused: bool = True) -> Dict[str, DomainLatents]:
         """Run both VBGEs over the full training graphs."""
         users_x, items_x = self.vbge_x.encode(
             self.user_embedding_x.all(), self.item_embedding_x.all(),
-            self.scenario.domain_x.graph, fused=fused, defer_sample=defer_sample,
+            self.scenario.domain_x.graph, fused=fused,
         )
         users_y, items_y = self.vbge_y.encode(
             self.user_embedding_y.all(), self.item_embedding_y.all(),
-            self.scenario.domain_y.graph, fused=fused, defer_sample=defer_sample,
+            self.scenario.domain_y.graph, fused=fused,
         )
         return {
             self.scenario.domain_x.name: DomainLatents(users_x, items_x),
@@ -158,14 +125,14 @@ class CDRIB(Module):
         }
 
     def forward(self) -> Dict[str, DomainLatents]:
+        """Latents of every user and item of both domains (fused encode)."""
         return self.encode_domains()
 
     # ------------------------------------------------------------------ #
     # Training loss (Eq. 16)
     # ------------------------------------------------------------------ #
     def training_loss(self, batches: Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray]],
-                      fused: bool = True, subgraph: bool = False
-                      ) -> Tuple[Tensor, Dict[str, float]]:
+                      fused: bool = True) -> Tuple[Tensor, Dict[str, float]]:
         """Compute the full CDRIB objective on one step's mini-batches.
 
         Parameters
@@ -181,23 +148,16 @@ class CDRIB(Module):
             Use the fused propagation/head/loss kernels (default).  The
             reference op-by-op pipeline (``fused=False``) produces the same
             losses and gradients; the golden-trajectory tests pin the two
-            paths against each other.
-        subgraph:
-            Mini-batch subgraph mode (requires ``fused``): the latent sample
-            ``z`` and every reconstruction/contrastive buffer are restricted
-            to the users/items touched by this step's batches and negatives.
-            The propagation trunk and the Gaussian heads still span the full
-            graph because the minimality term (Eq. 11) averages the KL over
-            *all* nodes — only the sampling/reconstruction branch shrinks.
-            Losses are identical to the full path (same RNG stream; ``z``
-            rows are computed elementwise from the same mu/sigma/noise).
+            paths against each other.  Either way the whole graph is
+            encoded every step: the minimality term (Eq. 11) averages the KL
+            over *all* users and items, not only the rows a batch touches.
 
         Returns
         -------
         (total loss tensor, per-term float diagnostics)
         """
         cfg = self.config
-        latents = self.encode_domains(fused=fused, defer_sample=fused and subgraph)
+        latents = self.encode_domains(fused=fused)
         name_x = self.scenario.domain_x.name
         name_y = self.scenario.domain_y.name
         lx, ly = latents[name_x], latents[name_y]
@@ -214,7 +174,7 @@ class CDRIB(Module):
                 lx, ly, cfg.beta1, cfg.beta2, kl_scale
             )
             interaction, diagnostics, contrast = self._fused_interaction_terms(
-                batches, lx, ly, subgraph
+                batches, lx, ly
             )
             total = minimality
             if interaction is not None:
@@ -289,81 +249,42 @@ class CDRIB(Module):
                     self._contrast(overlap_x, overlap_y), cfg.contrastive_weight
                 )
 
-    def _fused_interaction_terms(self, batches, lx, ly, subgraph: bool):
+    def _fused_interaction_terms(self, batches, lx, ly):
         """Fused reconstruction + contrastive terms (training fast path).
 
         Returns ``(interaction_node, per_term_diagnostics, contrastive_node)``
         where the interaction node covers every active Eq. 7/8 term in one
-        fused graph node (see :func:`fused_reconstruction_group`).  In
-        subgraph mode each side's ``z`` is materialised only for the rows
-        touched by this step (batch users, positives, sampled negatives,
-        overlap pairs); the fused nodes then work with local indices so every
-        scatter buffer is (touched, F) instead of (N, F).
+        fused graph node (see :func:`fused_reconstruction_group`).
         """
         cfg = self.config
-        in_x = batches.get("in_x") if cfg.use_in_domain_ib else None
-        in_y = batches.get("in_y") if cfg.use_in_domain_ib else None
-        cross_xy = batches.get("cross_x_to_y") if cfg.use_cross_domain_ib else None
-        cross_yx = batches.get("cross_y_to_x") if cfg.use_cross_domain_ib else None
-        pairs = batches.get("overlap") if cfg.use_contrastive else None
-        if pairs is not None and pairs.shape[0] < 2:
-            pairs = None
-
-        if subgraph:
-            touched_ux = _touched(
-                [in_x[0] if in_x else None,
-                 cross_xy[0] if cross_xy else None,
-                 pairs[:, 0] if pairs is not None else None])
-            touched_uy = _touched(
-                [in_y[0] if in_y else None,
-                 cross_yx[0] if cross_yx else None,
-                 pairs[:, 1] if pairs is not None else None])
-            touched_ix = _touched(
-                [in_x[1] if in_x else None, in_x[2] if in_x else None,
-                 cross_yx[1] if cross_yx else None,
-                 cross_yx[2] if cross_yx else None])
-            touched_iy = _touched(
-                [in_y[1] if in_y else None, in_y[2] if in_y else None,
-                 cross_xy[1] if cross_xy else None,
-                 cross_xy[2] if cross_xy else None])
-            z_ux = _sliced_z(lx.users, touched_ux)
-            z_uy = _sliced_z(ly.users, touched_uy)
-            z_ix = _sliced_z(lx.items, touched_ix)
-            z_iy = _sliced_z(ly.items, touched_iy)
-            loc = _local_indices
-        else:
-            touched_ux = touched_uy = touched_ix = touched_iy = None
-            z_ux, z_uy = lx.users.z, ly.users.z
-            z_ix, z_iy = lx.items.z, ly.items.z
-
-            def loc(_touched_rows, index):
-                return index
-
         specs = []
-        if in_x:
-            users, pos, neg = in_x
-            specs.append(("in_domain_x", z_ux, z_ix, loc(touched_ux, users),
-                          loc(touched_ix, pos), loc(touched_ix, neg.reshape(-1))))
-        if in_y:
-            users, pos, neg = in_y
-            specs.append(("in_domain_y", z_uy, z_iy, loc(touched_uy, users),
-                          loc(touched_iy, pos), loc(touched_iy, neg.reshape(-1))))
-        if cross_xy:
-            users_x_idx, pos, neg = cross_xy
-            specs.append(("cross_o2y", z_ux, z_iy, loc(touched_ux, users_x_idx),
-                          loc(touched_iy, pos), loc(touched_iy, neg.reshape(-1))))
-        if cross_yx:
-            users_y_idx, pos, neg = cross_yx
-            specs.append(("cross_o2x", z_uy, z_ix, loc(touched_uy, users_y_idx),
-                          loc(touched_ix, pos), loc(touched_ix, neg.reshape(-1))))
+        if cfg.use_in_domain_ib:
+            if "in_x" in batches:
+                users, pos, neg = batches["in_x"]
+                specs.append(("in_domain_x", lx.users.z, lx.items.z,
+                              users, pos, neg.reshape(-1)))
+            if "in_y" in batches:
+                users, pos, neg = batches["in_y"]
+                specs.append(("in_domain_y", ly.users.z, ly.items.z,
+                              users, pos, neg.reshape(-1)))
+        if cfg.use_cross_domain_ib:
+            if "cross_x_to_y" in batches:
+                users_x_idx, pos, neg = batches["cross_x_to_y"]
+                specs.append(("cross_o2y", lx.users.z, ly.items.z,
+                              users_x_idx, pos, neg.reshape(-1)))
+            if "cross_y_to_x" in batches:
+                users_y_idx, pos, neg = batches["cross_y_to_x"]
+                specs.append(("cross_o2x", ly.users.z, lx.items.z,
+                              users_y_idx, pos, neg.reshape(-1)))
         if specs:
             interaction, diagnostics = fused_reconstruction_group(specs)
         else:
             interaction, diagnostics = None, {}
         contrast = None
-        if pairs is not None:
-            overlap_x = ops.gather_rows(z_ux, loc(touched_ux, pairs[:, 0]))
-            overlap_y = ops.gather_rows(z_uy, loc(touched_uy, pairs[:, 1]))
+        pairs = batches.get("overlap") if cfg.use_contrastive else None
+        if pairs is not None and pairs.shape[0] >= 2:
+            overlap_x = ops.gather_rows(lx.users.z, pairs[:, 0])
+            overlap_y = ops.gather_rows(ly.users.z, pairs[:, 1])
             contrast = ops.mul(
                 self._contrast(overlap_x, overlap_y, fused=True),
                 cfg.contrastive_weight,

@@ -52,14 +52,15 @@ class TrainResult:
 
     @property
     def final_loss(self) -> float:
+        """Mean loss of the last logged epoch (NaN before any epoch)."""
         return self.history[-1].loss if self.history else float("nan")
 
 
 class _EdgePool:
     """A pool of (user, target_user, item) rows with per-step batch sampling.
 
-    ``vectorized`` selects the negative pool's draw strategy: the fast
-    engines presample with the sampler's stream-exact block draw, the
+    ``vectorized`` selects the negative pool's draw strategy: the fused
+    engine presamples with the sampler's stream-exact block draw, the
     reference engine keeps the seed per-user loop (identical negatives either
     way — the flag exists so benchmarks compare true seed behaviour).
     """
@@ -104,17 +105,14 @@ class CDRIBTrainer:
         ``"fused"`` (default) — fused propagation/loss kernels, a vectorized
         flat-buffer Adam with in-step gradient clipping, and epoch-level
         presampling of every step's edge picks and negative pools.
-        ``"subgraph"`` — everything in ``"fused"`` plus mini-batch subgraph
-        materialisation: the latent samples and reconstruction buffers of a
-        step are restricted to the users/items its batches touch.
         ``"reference"`` — the seed op-by-op implementation, kept as the
-        faithfulness baseline: all three engines consume identical RNG
+        faithfulness baseline: both engines consume identical RNG
         streams and produce per-step losses equal to ~1e-12 (pinned by the
         golden-trajectory tests) and throughput is benchmarked against this
         path in ``benchmarks/test_training_throughput.py``.
     """
 
-    ENGINES = ("fused", "subgraph", "reference")
+    ENGINES = ("fused", "reference")
 
     def __init__(self, model: CDRIB, scenario: Optional[CDRScenario] = None,
                  evaluator: Optional[LeaveOneOutEvaluator] = None,
@@ -200,6 +198,7 @@ class CDRIBTrainer:
     # Training
     # ------------------------------------------------------------------ #
     def steps_per_epoch(self) -> int:
+        """Steps that cover the largest edge pool once at ``batch_size``."""
         largest = max(len(pool) for pool in self._pools.values())
         return max(1, int(np.ceil(largest / self.config.batch_size)))
 
@@ -268,7 +267,7 @@ class CDRIBTrainer:
     def _next_batch(self) -> Dict[str, np.ndarray]:
         """Return the next step's batches.
 
-        The fast engines presample a whole epoch at a time; leftovers survive
+        The fused engine presamples a whole epoch at a time; leftovers survive
         in ``_pending_batches`` across :meth:`run_steps` / :meth:`train_epoch`
         calls so the number of *consumed* step draws — and therefore the RNG
         stream — always equals the reference engine's lazy per-step draws.
@@ -291,9 +290,7 @@ class CDRIBTrainer:
             clip_grad_norm(self.optimizer.parameters, max_norm=self.max_grad_norm)
             self.optimizer.step()
         else:
-            loss, diagnostics = self.model.training_loss(
-                batches, fused=True, subgraph=self.engine == "subgraph"
-            )
+            loss, diagnostics = self.model.training_loss(batches, fused=True)
             loss.backward()
             self.optimizer.step(max_grad_norm=self.max_grad_norm)
         self._global_step += 1
@@ -430,12 +427,12 @@ class CDRIBTrainer:
         The payload holds the model parameters, the Adam moments and step
         count, the trainer's step/epoch counters and the bit-generator
         states of every RNG stream involved in training (model noise /
-        dropout, trainer picks, both negative samplers).  The fast engines
-        presample whole epochs, so a *mid-epoch* save records the batch-RNG
+        dropout, trainer picks, both negative samplers).  The fused engine
+        presamples whole epochs, so a *mid-epoch* save records the batch-RNG
         states as of the epoch's start plus the number of steps already
         consumed; :meth:`restore_checkpoint` replays those steps, leaving
         every stream exactly where an uninterrupted run would have it.
-        Resume is therefore bit-exact for all engines, at any step.
+        Resume is therefore bit-exact for both engines, at any step.
         """
         params = list(self.model.named_parameters())
         arrays: Dict[str, np.ndarray] = {
@@ -549,7 +546,7 @@ class CDRIBTrainer:
                 f"{self.steps_per_epoch()}-step epoch; scenario mismatch?"
             )
         # Fast-forward the already-consumed prefix of the saved epoch through
-        # this engine's own batch path: the fast engines re-presample from the
+        # this engine's own batch path: the fused engine re-presamples from the
         # restored pre-epoch states and drop the prefix, the reference engine
         # replays the lazy per-step draws.  Either way every generator ends up
         # exactly where the uninterrupted run left it.

@@ -41,17 +41,14 @@ def _as_ndarray(features) -> np.ndarray:
 class GaussianLatent:
     """Mean / standard deviation / sample triple for one node set.
 
-    When sampling is *deferred* (mini-batch subgraph training), ``z`` is
-    ``None`` and ``noise`` holds the full pre-drawn reparameterisation noise;
-    the trainer materialises ``mu + sigma * noise`` only for the rows a step
-    actually touches.  The noise is always drawn full-shape so the RNG stream
-    matches the eager path exactly.
+    ``z`` is the reparameterised sample ``mu + sigma * noise`` in training
+    mode and ``mu`` itself in eval mode or under the deterministic-encoder
+    ablation.
     """
 
     mu: Tensor
     sigma: Tensor
-    z: Optional[Tensor]
-    noise: Optional[np.ndarray] = None
+    z: Tensor
 
     def deterministic(self) -> Tensor:
         """Representation to use at inference time (the posterior mean)."""
@@ -125,6 +122,7 @@ class GaussianHead(Module):
         self.sigma_bias = sigma_bias
 
     def forward(self, features: Tensor) -> Tuple[Tensor, Tensor]:
+        """Op-by-op (mu, sigma) of the reference engine."""
         mu = ops.leaky_relu(self.mu_layer(features), self.negative_slope)
         sigma = ops.softplus(ops.add(self.sigma_layer(features), self.sigma_bias))
         # Clamp the standard deviation away from zero for numerical stability
@@ -208,8 +206,8 @@ class VBGE(Module):
     # Encoding
     # ------------------------------------------------------------------ #
     def encode(self, user_embeddings: Tensor, item_embeddings: Tensor,
-               graph: BipartiteGraph, fused: bool = True,
-               defer_sample: bool = False) -> Tuple[GaussianLatent, GaussianLatent]:
+               graph: BipartiteGraph, fused: bool = True
+               ) -> Tuple[GaussianLatent, GaussianLatent]:
         """Encode every user and item of the domain.
 
         Returns a pair of :class:`GaussianLatent` objects (users, items).
@@ -221,10 +219,6 @@ class VBGE(Module):
             nodes with the graph's cached CSR transposes (default).  The
             reference op-by-op pipeline (``fused=False``) computes identical
             values and gradients and is kept for the faithfulness tests.
-        defer_sample:
-            Draw the reparameterisation noise but leave ``z`` unmaterialised
-            (see :class:`GaussianLatent`); used by mini-batch subgraph
-            training.  The RNG stream is identical either way.
         """
         norm_i2u = graph.norm_item_to_user()   # (|U|, |V|)  — Norm(A)
         norm_u2i = graph.norm_user_to_item()   # (|V|, |U|)  — Norm(A^T)
@@ -260,47 +254,9 @@ class VBGE(Module):
             user_mu, user_sigma = self.user_head(user_features)
             item_mu, item_sigma = self.item_head(item_features)
 
-        user_latent = self._sample(user_mu, user_sigma, defer=defer_sample)
-        item_latent = self._sample(item_mu, item_sigma, defer=defer_sample)
+        user_latent = self._sample(user_mu, user_sigma)
+        item_latent = self._sample(item_mu, item_sigma)
         return user_latent, item_latent
-
-    def encode_users_subgraph(self, user_embeddings: Tensor,
-                              graph: BipartiteGraph,
-                              user_indices: np.ndarray) -> Tuple[Tensor, Tensor]:
-        """Gradient-capable row-sliced (mu, sigma) for a batch of users.
-
-        A differentiable, row-restricted variant of :meth:`encode_users_batch`:
-        the final pull step and the Gaussian head run only on ``user_indices``
-        (via the ``pull_rows`` slicing of :func:`sparse_propagate_grad`)
-        while earlier hops span the full graph, which is required for
-        exactness.  Gradients scatter back through the sliced adjacency into
-        the full embedding table.  Useful for workloads whose objective only
-        involves batch rows (e.g. head fine-tuning); the full CDRIB objective
-        also needs the all-rows KL term, so the trainer uses :meth:`encode`.
-        """
-        index = np.asarray(user_indices, dtype=np.int64)
-        norm_i2u = graph.norm_item_to_user()
-        norm_u2i = graph.norm_user_to_item()
-        norm_u2i_t = graph.norm_user_to_item_t()
-        norm_i2u_t = graph.norm_item_to_user_t()
-
-        users = self.user_dropout(user_embeddings)
-        outputs = [users[index]]
-        hidden = users
-        for layer, block in enumerate(self.user_blocks):
-            is_last = layer == len(self.user_blocks) - 1
-            if is_last:
-                outputs.append(sparse_propagate_grad(
-                    norm_u2i, norm_i2u, hidden,
-                    block.to_neighbor.weight, block.from_neighbor.weight,
-                    block.negative_slope, push_t=norm_u2i_t,
-                    pull_rows=index,
-                ))
-            else:
-                hidden = block(hidden, push=norm_u2i, pull=norm_i2u,
-                               push_t=norm_u2i_t, pull_t=norm_i2u_t)
-                outputs.append(hidden[index])
-        return self.user_head.forward_fused(ops.concat(outputs, axis=-1))
 
     # ------------------------------------------------------------------ #
     # Inference fast paths (serving)
@@ -357,14 +313,8 @@ class VBGE(Module):
             outputs.append(hidden)
         return head.infer(np.concatenate(outputs, axis=-1))
 
-    def _sample(self, mu: Tensor, sigma: Tensor,
-                defer: bool = False) -> GaussianLatent:
+    def _sample(self, mu: Tensor, sigma: Tensor) -> GaussianLatent:
         if self.deterministic or not self.training:
             return GaussianLatent(mu=mu, sigma=sigma, z=mu)
-        if defer:
-            # Same full-shape draw as gaussian_reparameterize (identical RNG
-            # stream); z is materialised later only for touched rows.
-            noise = self._rng.standard_normal(mu.data.shape)
-            return GaussianLatent(mu=mu, sigma=sigma, z=None, noise=noise)
         z = ops.gaussian_reparameterize(mu, sigma, rng=self._rng)
         return GaussianLatent(mu=mu, sigma=sigma, z=z)

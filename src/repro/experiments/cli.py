@@ -33,6 +33,7 @@ import os
 import sys
 from typing import Callable, Dict, List, Optional
 
+from ..core import CDRIBTrainer
 from . import runners
 from .config import PROFILES, get_profile
 from .reporting import save_rows_csv, save_rows_json, save_run_manifest
@@ -97,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--epochs", type=int, default=None,
                         help="override the profile's epoch budget (train only)")
     parser.add_argument("--engine", default="fused",
-                        choices=("fused", "subgraph", "reference"),
+                        choices=CDRIBTrainer.ENGINES,
                         help="training engine (train only)")
     parser.add_argument("--checkpoint", default=None, metavar="DIR",
                         help="serve from this saved checkpoint instead of training "

@@ -500,7 +500,7 @@ def run_layer_sweep(scenario_name: str,
 # Training throughput (fast training engine)
 # --------------------------------------------------------------------------- #
 def run_training_benchmark(scenario_name: str = "game_video",
-                           engines: Sequence[str] = ("reference", "fused", "subgraph"),
+                           engines: Sequence[str] = CDRIBTrainer.ENGINES,
                            steps_per_block: int = 15,
                            repeats: int = 5,
                            profile: Optional[ExperimentProfile] = None) -> List[ROW]:

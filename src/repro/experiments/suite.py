@@ -51,6 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..baselines import ALL_BASELINES, make_baseline
+from ..core import CDRIBTrainer
 from ..core.variants import (
     ABLATION_VARIANTS,
     make_ablation_config,
@@ -66,8 +67,6 @@ ROW = Dict[str, object]
 
 SUITE_MANIFEST_NAME = "suite_manifest.json"
 SUITE_FORMAT_VERSION = 1
-
-TRAINER_ENGINES = ("fused", "subgraph", "reference")
 
 #: Metric columns carried by every per-direction job row.
 METRIC_COLUMNS = ("MRR", "NDCG@5", "NDCG@10", "HR@1", "HR@5", "HR@10")
@@ -176,9 +175,9 @@ class SuiteSpec:
         if self.profile not in PROFILES:
             raise SuiteSpecError(
                 f"unknown profile {self.profile!r}; available: {sorted(PROFILES)}")
-        if self.engine not in TRAINER_ENGINES:
+        if self.engine not in CDRIBTrainer.ENGINES:
             raise SuiteSpecError(
-                f"unknown engine {self.engine!r}; available: {TRAINER_ENGINES}")
+                f"unknown engine {self.engine!r}; available: {CDRIBTrainer.ENGINES}")
         if self.epochs is not None and self.epochs < 1:
             raise SuiteSpecError(f"epochs must be >= 1, got {self.epochs}")
         if not isinstance(self.ann_check, bool):

@@ -142,27 +142,6 @@ class TestSparsePropagateGrad:
             [features, w_to, w_from],
         )
 
-    def test_pull_rows_slices_forward_and_gradients(self):
-        """Row-sliced pull: output rows and grads match the full pass."""
-        push, pull, features, w_to, w_from = _random_propagation_case(7, 9, 6, 4, 0.3)
-        rows = np.array([1, 4, 7])
-        upstream = np.random.default_rng(8).standard_normal((3, 4))
-
-        sliced = sparse_propagate_grad(push, pull, features, w_to, w_from,
-                                       pull_rows=rows)
-        sliced.backward(upstream)
-        sliced_grads = [t.grad.copy() for t in (features, w_to, w_from)]
-        for tensor in (features, w_to, w_from):
-            tensor.zero_grad()
-
-        full = sparse_propagate_grad(push, pull, features, w_to, w_from)
-        np.testing.assert_allclose(sliced.data, full.data[rows], rtol=0, atol=1e-12)
-        scatter = np.zeros_like(full.data)
-        scatter[rows] = upstream
-        full.backward(scatter)
-        for got, tensor in zip(sliced_grads, (features, w_to, w_from)):
-            np.testing.assert_allclose(got, tensor.grad, rtol=0, atol=1e-12)
-
     def test_matches_nograd_serving_kernel(self):
         """The grad-aware kernel and the serving kernel agree bitwise."""
         push, pull, features, w_to, w_from = _random_propagation_case(9, 8, 5, 4, 0.4)

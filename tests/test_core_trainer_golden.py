@@ -1,13 +1,12 @@
 """Golden-trajectory regression tests for the CDRIB training engines.
 
-The fast training engines ("fused" kernels and "subgraph" mini-batch
-materialisation) are only admissible because they are *faithful*: with the
-same seed they must reproduce the seed implementation's loss trajectory —
-same edge picks, same negative pools, same dropout masks and
+The fused training engine is only admissible because it is *faithful*:
+with the same seed it must reproduce the seed implementation's loss
+trajectory — same edge picks, same negative pools, same dropout masks and
 reparameterisation noise, same optimizer arithmetic.  These tests pin a
-20-step loss sequence of the reference (seed) path and require every engine
-to match it, including across an epoch boundary and across interrupted
-``run_steps`` calls.
+20-step loss sequence of the reference (seed) path and require the fused
+engine to match it, including across an epoch boundary and across
+interrupted ``run_steps`` calls.
 """
 
 import numpy as np
@@ -90,15 +89,8 @@ class TestGoldenTrajectory:
         np.testing.assert_allclose(fused, reference, rtol=0, atol=ENGINE_ATOL)
         np.testing.assert_allclose(fused, GOLDEN_LOSSES, rtol=0, atol=PINNED_ATOL)
 
-    def test_subgraph_engine_matches_seed_losses(self, golden_scenario):
-        """Acceptance: subgraph-path losses equal the seed path to 1e-10."""
-        _, reference = run_engine(golden_scenario, "reference")
-        _, subgraph = run_engine(golden_scenario, "subgraph")
-        np.testing.assert_allclose(subgraph, reference, rtol=0, atol=ENGINE_ATOL)
-        np.testing.assert_allclose(subgraph, GOLDEN_LOSSES, rtol=0, atol=PINNED_ATOL)
-
     def test_interrupted_run_steps_is_stream_exact(self, golden_scenario):
-        """Stopping mid-epoch must not desynchronise the presampled engines.
+        """Stopping mid-epoch must not desynchronise the presampled engine.
 
         run_steps(7) ends mid-epoch (10 steps per epoch); the fused engine
         has presampled the full epoch but must consume the leftovers before
@@ -115,37 +107,35 @@ class TestGoldenTrajectory:
     def test_fit_epoch_means_match_across_engines(self, golden_scenario):
         """fit() (epoch means, eval-cache refresh) agrees across engines."""
         results = {}
-        for engine in ("reference", "fused", "subgraph"):
+        for engine in CDRIBTrainer.ENGINES:
             model = CDRIB(golden_scenario, golden_config())
             trainer = CDRIBTrainer(model, engine=engine)
             results[engine] = trainer.fit(epochs=2)
-        reference = [log.loss for log in results["reference"].history]
-        for engine in ("fused", "subgraph"):
-            np.testing.assert_allclose(
-                [log.loss for log in results[engine].history], reference,
-                rtol=0, atol=ENGINE_ATOL,
-            )
+        np.testing.assert_allclose(
+            [log.loss for log in results["fused"].history],
+            [log.loss for log in results["reference"].history],
+            rtol=0, atol=ENGINE_ATOL,
+        )
 
     def test_diagnostics_terms_match_across_engines(self, golden_scenario):
         """Per-term diagnostics (KL, reconstruction, contrastive) agree too."""
         diags = {}
-        for engine in ("reference", "fused", "subgraph"):
+        for engine in CDRIBTrainer.ENGINES:
             model = CDRIB(golden_scenario, golden_config())
             trainer = CDRIBTrainer(model, engine=engine)
             batches = trainer._next_batch()
             model.train()
-            _, diag = model.training_loss(
-                batches, fused=engine != "reference",
-                subgraph=engine == "subgraph",
-            )
+            _, diag = model.training_loss(batches, fused=engine != "reference")
             diags[engine] = diag
         assert set(diags["fused"]) == set(diags["reference"])
-        assert set(diags["subgraph"]) == set(diags["reference"])
-        for engine in ("fused", "subgraph"):
-            for key, value in diags["reference"].items():
-                assert diags[engine][key] == pytest.approx(value, rel=0, abs=ENGINE_ATOL)
+        for key, value in diags["reference"].items():
+            assert diags["fused"][key] == pytest.approx(value, rel=0, abs=ENGINE_ATOL)
+
+    def test_engines_are_fused_and_reference(self):
+        assert CDRIBTrainer.ENGINES == ("fused", "reference")
 
     def test_unknown_engine_rejected(self, golden_scenario):
         model = CDRIB(golden_scenario, golden_config())
-        with pytest.raises(ValueError):
-            CDRIBTrainer(model, engine="warp-speed")
+        for engine in ("warp-speed", "subgraph"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                CDRIBTrainer(model, engine=engine)

@@ -3,11 +3,14 @@
 The acceptance contract of ``repro.io``: training 10 steps, saving,
 rebuilding everything from disk (model + optimizer + every RNG stream) and
 training 10 more must produce losses *bit-identical* to 20 uninterrupted
-steps — for the fused, subgraph and reference engines, at epoch boundaries
-and mid-epoch.  These tests sit alongside ``test_core_trainer_golden.py``
+steps — for the fused and reference engines, at epoch boundaries and
+mid-epoch.  These tests sit alongside ``test_core_trainer_golden.py``
 and reuse its pinned scenario, so a resumed run is also pinned against the
 seed implementation's trajectory.
 """
+
+import json
+import os
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ import pytest
 from repro.core import CDRIB, CDRIBTrainer
 from repro.data import SyntheticConfig, SyntheticCrossDomainGenerator, build_scenario
 from repro.io import CheckpointError, load_checkpoint
+from repro.io.checkpoint import MANIFEST_NAME
 
 from test_core_trainer_golden import GOLDEN_LOSSES, PINNED_ATOL, golden_config
 
@@ -37,7 +41,7 @@ def make_trainer(scenario, engine):
 
 
 class TestExactResume:
-    @pytest.mark.parametrize("engine", ["fused", "subgraph", "reference"])
+    @pytest.mark.parametrize("engine", CDRIBTrainer.ENGINES)
     @pytest.mark.parametrize("split_at", [10, 7])
     def test_resume_equals_uninterrupted(self, golden_scenario, tmp_path,
                                          engine, split_at):
@@ -45,7 +49,7 @@ class TestExactResume:
 
         ``split_at=10`` lands on an epoch boundary (10 steps/epoch on this
         scenario), ``split_at=7`` saves mid-epoch, exercising the presample
-        replay of the fast engines.
+        replay of the fused engine.
         """
         straight = make_trainer(golden_scenario, engine).run_steps(20)
 
@@ -75,6 +79,28 @@ class TestExactResume:
         np.testing.assert_allclose(np.array(before + after), np.array(straight),
                                    rtol=0, atol=1e-10)
 
+    def test_checkpoint_naming_a_removed_engine_restores(self, golden_scenario,
+                                                         tmp_path):
+        """The recorded engine name is metadata only: a checkpoint whose
+        manifest names an engine that no longer exists (``"subgraph"``)
+        still resumes bit-exactly on the fused engine."""
+        straight = make_trainer(golden_scenario, "fused").run_steps(20)
+        first_half = make_trainer(golden_scenario, "fused")
+        before = first_half.run_steps(7)
+        path = first_half.save_checkpoint(str(tmp_path / "old-engine"))
+        manifest_path = os.path.join(path, MANIFEST_NAME)
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        assert manifest["engine"] == "fused"
+        manifest["engine"] = "subgraph"
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle, indent=2, sort_keys=True)
+
+        resumed = make_trainer(golden_scenario, "fused")
+        resumed.restore_checkpoint(path)
+        after = resumed.run_steps(13)
+        assert before + after == straight  # exact float equality, no tolerance
+
     def test_state_dict_round_trip_is_bit_identical(self, golden_scenario, tmp_path):
         trainer = make_trainer(golden_scenario, "fused")
         trainer.run_steps(5)
@@ -100,14 +126,14 @@ class TestExactResume:
         )
 
     def test_manifest_records_training_state(self, golden_scenario, tmp_path):
-        trainer = make_trainer(golden_scenario, "subgraph")
+        trainer = make_trainer(golden_scenario, "fused")
         trainer.run_steps(7)
         path = trainer.save_checkpoint(str(tmp_path / "manifest"),
                                        metrics={"loss": 1.0},
                                        provenance={"scenario": "golden",
                                                    "profile": "unit"})
         checkpoint = load_checkpoint(path, expect_kind="cdrib-trainer")
-        assert checkpoint.manifest["engine"] == "subgraph"
+        assert checkpoint.manifest["engine"] == "fused"
         assert checkpoint.manifest["metrics"] == {"loss": 1.0}
         assert checkpoint.manifest["provenance"]["scenario"] == "golden"
         assert checkpoint.manifest["model"]["config"]["embedding_dim"] == 16
@@ -164,8 +190,6 @@ class TestExactResume:
         assert second.scalar("trainer/global_step") == 4
         assert second.scalar("trainer/global_step") != first.scalar(
             "trainer/global_step")
-        import os
-
         assert not os.path.exists(path + ".saving")
         assert not os.path.exists(path + ".old")
 

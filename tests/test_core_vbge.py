@@ -129,50 +129,3 @@ class TestEncodeVariants:
             grads[fused] += (users.weight.grad.copy(),)
         for got, expected in zip(grads[True], grads[False]):
             np.testing.assert_array_equal(got, expected)
-
-    def test_deferred_sampling_keeps_rng_stream(self, graph, embeddings):
-        """defer_sample draws the same noise as the eager reparameterised z."""
-        users, items = embeddings
-        eager = VBGE(dim=8, num_layers=1, dropout=0.0, seed=5)
-        deferred = VBGE(dim=8, num_layers=1, dropout=0.0, seed=5)
-        eager_user, _ = eager.encode(users.all(), items.all(), graph)
-        deferred_user, _ = deferred.encode(users.all(), items.all(), graph,
-                                           defer_sample=True)
-        assert deferred_user.z is None
-        rebuilt = deferred_user.mu.data + deferred_user.sigma.data * deferred_user.noise
-        np.testing.assert_array_equal(rebuilt, eager_user.z.data)
-
-    def test_encode_users_subgraph_matches_full_rows(self, graph, embeddings):
-        """Row-sliced encoding equals the full fused encode on those rows."""
-        users, items = embeddings
-        index = np.array([0, 3, 7, 11])
-        encoder = VBGE(dim=8, num_layers=2, dropout=0.0, seed=0)
-        encoder.eval()
-        full_user, _ = encoder.encode(users.all(), items.all(), graph)
-        mu, sigma = encoder.encode_users_subgraph(users.all(), graph, index)
-        np.testing.assert_allclose(mu.data, full_user.mu.data[index],
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_allclose(sigma.data, full_user.sigma.data[index],
-                                   rtol=0, atol=1e-12)
-
-    def test_encode_users_subgraph_gradients_match_sliced_full_pass(
-            self, graph, embeddings):
-        """Gradients through the sliced pull equal the masked full backward."""
-        users, items = embeddings
-        index = np.array([2, 5, 9])
-        upstream = np.random.default_rng(3).standard_normal((3, 8))
-
-        encoder = VBGE(dim=8, num_layers=1, dropout=0.0, seed=0)
-        encoder.eval()
-        users.weight.zero_grad()
-        mu, _ = encoder.encode_users_subgraph(users.all(), graph, index)
-        mu.backward(upstream)
-        sliced_grad = users.weight.grad.copy()
-
-        users.weight.zero_grad()
-        full_user, _ = encoder.encode(users.all(), items.all(), graph)
-        scatter = np.zeros_like(full_user.mu.data)
-        scatter[index] = upstream
-        full_user.mu.backward(scatter)
-        np.testing.assert_allclose(sliced_grad, users.weight.grad,
-                                   rtol=0, atol=1e-12)

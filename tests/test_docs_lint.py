@@ -72,6 +72,7 @@ def test_default_targets_cover_public_subsystems():
     assert set(lint_docs.DEFAULT_TARGETS) == {
         "src/repro/serve", "src/repro/io",
         "src/repro/experiments", "src/repro/eval", "src/repro/graph",
+        "src/repro/core",
     }
 
 
@@ -80,6 +81,15 @@ def test_graph_package_is_fully_documented():
     lint_docs = _load_linter()
     problems = []
     for path in sorted((REPO_ROOT / "src" / "repro" / "graph").rglob("*.py")):
+        problems.extend(lint_docs.lint_file(path))
+    assert problems == []
+
+
+def test_core_package_is_fully_documented():
+    """The model, encoder, regularizers and trainer are public API too."""
+    lint_docs = _load_linter()
+    problems = []
+    for path in sorted((REPO_ROOT / "src" / "repro" / "core").rglob("*.py")):
         problems.extend(lint_docs.lint_file(path))
     assert problems == []
 

@@ -56,6 +56,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             parser.parse_args(["table42"])
 
+    def test_removed_engine_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["train", "--engine", "subgraph"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'subgraph'" in capsys.readouterr().err
+
 
 class TestServeDispatch:
     def test_serve_runs_and_reports_throughput(self):

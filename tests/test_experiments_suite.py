@@ -92,6 +92,8 @@ class TestSpecValidation:
             make_spec(profile="gigantic")
         with pytest.raises(SuiteSpecError, match="unknown engine"):
             make_spec(engine="warp")
+        with pytest.raises(SuiteSpecError, match="unknown engine"):
+            make_spec(engine="subgraph")
         with pytest.raises(SuiteSpecError, match="epochs"):
             make_spec(epochs=0)
 

@@ -38,6 +38,7 @@ DEFAULT_TARGETS = [
     "src/repro/experiments",
     "src/repro/eval",
     "src/repro/graph",
+    "src/repro/core",
 ]
 
 #: Markdown files whose code blocks are linted by default.
