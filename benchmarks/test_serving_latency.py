@@ -1,6 +1,6 @@
 """Concurrent serving latency benchmark (``repro.experiments.loadgen``).
 
-Drives the thread-safe :class:`~repro.serve.ServingFrontend` with concurrent
+Drives a started :class:`~repro.serve.RequestBatcher` with concurrent
 closed-loop client workers and reports the saturation-curve rows that
 ``bench-serve`` emits: users/sec plus p50/p90/p99 submit-to-result latency
 per batch size x workers x backend configuration.

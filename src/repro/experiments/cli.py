@@ -52,8 +52,8 @@ EXPERIMENTS: Dict[str, str] = {
     "ann": "ANN retrieval benchmark — exact vs IVF top-K on a synthetic "
            "catalogue (recall + queries/sec; repro.serve.ann)",
     "bench-serve": "Concurrent serving load test — N closed-loop client "
-                   "workers drive the thread-safe front-end "
-                   "(repro.serve.frontend) and record p50/p90/p99 latency "
+                   "workers drive a started request batcher "
+                   "(repro.serve.batching) and record p50/p90/p99 latency "
                    "and users/sec per batch size x workers x "
                    "nprobe configuration; --bench-json writes the "
                    "BENCH_serve.json artifact",

@@ -9,8 +9,8 @@ tables):
 
 * :func:`generate_traffic` — a seeded, skewed request stream (a small hot
   set of users produces most requests, mimicking production).
-* :func:`run_load_test` — N closed-loop client workers drive one
-  :class:`~repro.serve.ServingFrontend`; every request's submit-to-result
+* :func:`run_load_test` — N closed-loop client workers drive one started
+  :class:`~repro.serve.RequestBatcher`; every request's submit-to-result
   latency is captured and aggregated into p50/p90/p99 + users/sec.
 * :func:`run_loadgen_benchmark` — the ``bench-serve`` sweep: batch size ×
   workers × nprobe over the exact and IVF retrieval backends, one
@@ -123,16 +123,16 @@ def run_load_test(server, traffic: Sequence[int], workers: int = 4,
     """Drive ``server`` with ``workers`` concurrent closed-loop clients.
 
     The traffic stream is split round-robin across workers; each worker
-    submits its next request to a shared
-    :class:`~repro.serve.ServingFrontend` and blocks on the ticket before
+    submits its next request to a shared, started
+    :class:`~repro.serve.RequestBatcher` and blocks on the ticket before
     submitting again (closed-loop load generation — concurrency equals the
     worker count, batches form across workers).  Per-request latency is the
     submit-to-result wall time seen by the client.
 
-    ``batches_flushed`` counts this run's front-end only, so a server can
-    be reused across configurations.
+    ``batches_flushed`` counts this run's batcher only, so a server can be
+    reused across configurations.
     """
-    from ..serve import ServingFrontend
+    from ..serve import RequestBatcher
 
     traffic = np.asarray(traffic, dtype=np.int64)
     if traffic.size == 0:
@@ -145,14 +145,14 @@ def run_load_test(server, traffic: Sequence[int], workers: int = 4,
     per_worker_latencies: List[List[float]] = [[] for _ in range(workers)]
     per_worker_errors = [0] * workers
 
-    with ServingFrontend(server, max_batch_size=max_batch_size,
-                         max_delay=max_delay) as frontend:
+    with RequestBatcher(server, max_batch_size=max_batch_size,
+                        max_delay=max_delay).start() as batcher:
         def drive(worker: int) -> None:
             latencies = per_worker_latencies[worker]
             for user in slices[worker]:
                 begin = time.perf_counter()
                 try:
-                    frontend.submit(int(user), k=k).result(timeout=timeout)
+                    batcher.submit(int(user), k=k).result(timeout=timeout)
                 except Exception:
                     per_worker_errors[worker] += 1
                 latencies.append(time.perf_counter() - begin)
@@ -162,7 +162,7 @@ def run_load_test(server, traffic: Sequence[int], workers: int = 4,
             # list() re-raises worker crashes instead of swallowing them.
             list(pool.map(drive, range(workers)))
         wall = time.perf_counter() - start
-        flushed = frontend.batches_flushed
+        flushed = batcher.batches_flushed
 
     latencies = np.concatenate(
         [np.asarray(chunk, dtype=np.float64) for chunk in per_worker_latencies])

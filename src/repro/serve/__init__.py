@@ -16,11 +16,12 @@ into a batched serving subsystem:
   (a single full-graph no-grad VBGE pass), so serving a batch is a row
   gather plus top-K against a pluggable index
   (``index_backend="exact" | "ivf"``).
-* :class:`RequestBatcher` — micro-batching queue for streaming workloads.
-* :class:`ServingFrontend` — thread-safe concurrent front-end over the
-  batcher: ``submit()`` from any thread returns a :class:`FrontendTicket`,
-  a background flusher enforces ``max_delay``, and served lists stay
-  bit-identical to the synchronous path.
+* :class:`RequestBatcher` — thread-safe micro-batching queue for streaming
+  workloads: ``submit()`` from any thread returns a
+  :class:`PendingRequest` ticket, ``start()`` launches a background flusher
+  that enforces ``max_delay``, and served lists stay bit-identical to the
+  synchronous path.  :class:`ServingFrontend` is a batcher started at
+  construction.
 * :func:`make_index` / :func:`build_index` / :func:`save_index` /
   :func:`load_index` — the backend registry and checksummed on-disk index
   artifacts (:mod:`repro.io` checkpoints).
@@ -42,8 +43,7 @@ from .ann import (
     register_index_backend,
     save_index,
 )
-from .batching import PendingRequest, RequestBatcher
-from .frontend import FrontendTicket, ServingFrontend
+from .batching import PendingRequest, RequestBatcher, ServingFrontend
 from .item_index import ItemIndex, TopKIndex, brute_force_ranking
 from .server import ColdStartServer, Recommendation, ServerStats
 
@@ -65,5 +65,4 @@ __all__ = [
     "RequestBatcher",
     "PendingRequest",
     "ServingFrontend",
-    "FrontendTicket",
 ]

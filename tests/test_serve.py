@@ -756,9 +756,12 @@ class TestRequestBatcherFlushEdgeCases:
         assert np.array_equal(late.result().items,
                               server.recommend([5])[0].items)
 
-    def test_negative_max_delay_rejected(self, server):
+    @pytest.mark.parametrize("max_delay", [-0.1, float("nan")])
+    def test_negative_max_delay_rejected(self, server, max_delay):
+        # NaN compares False with everything, so a deadline check against
+        # it would never fire.
         with pytest.raises(ValueError):
-            RequestBatcher(server, max_delay=-0.1)
+            RequestBatcher(server, max_delay=max_delay)
 
     def test_zero_max_delay_flushes_every_submit(self, server):
         clock = _FakeClock()
