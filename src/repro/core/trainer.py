@@ -108,8 +108,8 @@ class CDRIBTrainer:
         ``"reference"`` — the seed op-by-op implementation, kept as the
         faithfulness baseline: both engines consume identical RNG
         streams and produce per-step losses equal to ~1e-12 (pinned by the
-        golden-trajectory tests) and throughput is benchmarked against this
-        path in ``benchmarks/test_training_throughput.py``.
+        golden-trajectory tests), and ``fused`` must stay faster than this
+        path (``tests/test_core_trainer_golden.py``).
     """
 
     ENGINES = ("fused", "reference")
@@ -317,7 +317,7 @@ class CDRIBTrainer:
         Batches are drawn with the same epoch structure (and therefore the
         same RNG streams) as :meth:`fit`, so the returned loss sequence is
         the prefix of a normal training run — the contract the
-        golden-trajectory tests and the throughput benchmark rely on.
+        golden-trajectory tests and the repo benchmark rely on.
         """
         self.model.train()
         losses: List[float] = []

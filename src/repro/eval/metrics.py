@@ -54,8 +54,7 @@ def recall_against_exact(approx_items: np.ndarray,
     (rows with fewer than ``k`` candidates) are ignored on both sides, and
     rows whose exact list is entirely padding are skipped.  Returns a float
     in [0, 1]; 1.0 means the approximate index surfaced every exact top-K
-    item (recall@k), the quantity gated by
-    ``benchmarks/test_ann_retrieval.py``.
+    item (recall@k), the quantity gated by ``tests/test_serve_ann.py``.
     """
     approx = np.atleast_2d(np.asarray(approx_items, dtype=np.int64))
     exact = np.atleast_2d(np.asarray(exact_items, dtype=np.int64))

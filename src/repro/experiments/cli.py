@@ -6,24 +6,23 @@ Usage (after installation)::
     python -m repro.experiments.cli table3 --scenario music_movie --profile fast
     python -m repro.experiments.cli table7 --scenario phone_elec --output results/ablation.csv
     python -m repro.experiments.cli figure5 --scenario game_video --profile smoke
-    python -m repro.experiments.cli serve --profile smoke --batch-sizes 1,64
     python -m repro.experiments.cli train --profile smoke --save runs/ckpt
     python -m repro.experiments.cli serve --checkpoint runs/ckpt --top-k 10
     python -m repro.experiments.cli serve --checkpoint runs/ckpt \
         --index ivf --nprobe 32 --index-dir runs/ivf-index
-    python -m repro.experiments.cli ann --num-items 60000
-    python -m repro.experiments.cli bench-serve --profile smoke \
-        --batch-sizes 8,64 --workers 1,4 --bench-json runs/BENCH_serve.json
     repro suite --spec main-tables --jobs 4 --output runs/main
     repro suite --spec my_sweep.json --jobs 2
 
-Each sub-command maps to one paper artefact (plus the ``serve`` throughput
-demo for the :mod:`repro.serve` subsystem and the checkpointed ``train``
-pipeline of :mod:`repro.io`), runs the corresponding experiment runner,
-prints the resulting table and optionally writes it to CSV or JSON (decided
-by the ``--output`` extension).  When ``--output`` is given, a companion
-``<output>.manifest.json`` records what produced the file (experiment,
-scenario, profile, row count, content checksum).
+Each sub-command maps to one paper artefact (plus the checkpointed
+``train`` → ``serve --checkpoint`` pipeline of :mod:`repro.io` and
+:mod:`repro.serve`, and the ``suite`` orchestrator), runs the corresponding
+experiment runner, prints the resulting table and optionally writes it to
+CSV or JSON (decided by the ``--output`` extension).  When ``--output`` is
+given, a companion ``<output>.manifest.json`` records what produced the
+file (experiment, scenario, profile, row count, content checksum).
+
+Timing is not a CLI concern: the repo benchmark (``python3 -m bench run``)
+measures training, serving and retrieval.
 """
 
 from __future__ import annotations
@@ -46,23 +45,21 @@ EXPERIMENTS: Dict[str, str] = {
     "table9": "Table IX — cold-start interaction-count groups",
     "figure5": "Figure 5 — Lagrangian multiplier sweep",
     "figure6": "Figure 6 — VBGE layer-count sweep",
-    "serve": "Serving demo — batched cold-start throughput (repro.serve), "
-             "or top-K lists from a saved artifact with --checkpoint; "
-             "--index ivf serves through the approximate IVF index",
-    "ann": "ANN retrieval benchmark — exact vs IVF top-K on a synthetic "
-           "catalogue (recall + queries/sec; repro.serve.ann)",
-    "bench-serve": "Concurrent serving load test — N closed-loop client "
-                   "workers drive a started request batcher "
-                   "(repro.serve.batching) and record p50/p90/p99 latency "
-                   "and users/sec per batch size x workers x "
-                   "nprobe configuration; --bench-json writes the "
-                   "BENCH_serve.json artifact",
+    "serve": "Top-K lists from a saved artifact (--checkpoint, required; "
+             "repro.serve); --index ivf serves through the approximate IVF "
+             "index",
     "train": "Train CDRIB with durable checkpoints (--save) and bit-exact "
              "resume (--resume)",
     "suite": "Declarative sweep over scenarios x models x seeds with parallel "
              "workers, per-job artifacts and aggregated mean±std tables "
              "(--spec, --jobs, --output DIR)",
 }
+
+#: Why ``serve`` refuses to run without ``--checkpoint``.
+SERVE_NEEDS_CHECKPOINT = (
+    "serve needs --checkpoint DIR (a checkpoint written by train --save); "
+    "to time serving, run python3 -m bench run --workload serve-hot "
+    "--seed 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,8 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: suite_runs/<name>)")
     parser.add_argument("--no-savae", action="store_true",
                         help="skip the SA-VAE comparison in table8/table9 (faster)")
-    parser.add_argument("--batch-sizes", default="1,32,256",
-                        help="comma-separated request batch sizes (serve only)")
     parser.add_argument("--top-k", type=int, default=10,
                         help="recommendation list length (serve only)")
     parser.add_argument("--save", default=None, metavar="DIR",
@@ -101,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=CDRIBTrainer.ENGINES,
                         help="training engine (train only)")
     parser.add_argument("--checkpoint", default=None, metavar="DIR",
-                        help="serve from this saved checkpoint instead of training "
-                             "(serve only)")
+                        help="the saved checkpoint to serve from (required by "
+                             "serve)")
     parser.add_argument("--num-users", type=int, default=8,
                         help="users to serve with --checkpoint (serve only)")
     parser.add_argument("--index", default="exact", choices=("exact", "ivf"),
@@ -111,30 +106,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "search or the approximate IVF index (serve only)")
     parser.add_argument("--nprobe", type=int, default=None, metavar="N",
                         help="IVF cells probed per query; higher = better "
-                             "recall, slower (serve/ann, --index ivf)")
+                             "recall, slower (serve --index ivf)")
     parser.add_argument("--index-dir", default=None, metavar="DIR",
                         help="load the serving index from this checksummed "
                              "artifact if it exists, else build and save it "
                              "there (serve --checkpoint only)")
-    parser.add_argument("--num-items", type=int, default=200_000,
-                        help="synthetic catalogue size for the ann benchmark "
-                             "(ann only)")
-    parser.add_argument("--workers", default="1,4",
-                        help="comma-separated concurrent client worker counts "
-                             "(bench-serve only)")
-    parser.add_argument("--requests", type=int, default=256,
-                        help="requests in the generated traffic stream "
-                             "(bench-serve only)")
-    parser.add_argument("--backends", default="exact,ivf",
-                        help="comma-separated retrieval backends to sweep "
-                             "(bench-serve only; exact and/or ivf)")
-    parser.add_argument("--nprobes", default=None,
-                        help="comma-separated IVF probe budgets to sweep "
-                             "(bench-serve only; default: the backend's own "
-                             "nprobe)")
-    parser.add_argument("--bench-json", default=None, metavar="PATH",
-                        help="write the BENCH_serve.json perf-trajectory "
-                             "artifact here (bench-serve only)")
     parser.add_argument("--spec", default="main-tables",
                         help="suite spec: a built-in name or a JSON file path "
                              "(suite only)")
@@ -149,7 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_experiment(name: str, scenario: str, profile_name: Optional[str],
                    include_savae: bool = True,
-                   batch_sizes: Optional[List[int]] = None,
                    top_k: int = 10,
                    save_path: Optional[str] = None,
                    resume_path: Optional[str] = None,
@@ -160,14 +135,11 @@ def run_experiment(name: str, scenario: str, profile_name: Optional[str],
                    num_users: int = 8,
                    index_backend: str = "exact",
                    nprobe: Optional[int] = None,
-                   index_dir: Optional[str] = None,
-                   num_items: int = 200_000,
-                   workers: Optional[List[int]] = None,
-                   requests: int = 256,
-                   backends: Optional[List[str]] = None,
-                   nprobes: Optional[List[int]] = None) -> List[dict]:
+                   index_dir: Optional[str] = None) -> List[dict]:
     """Dispatch one experiment by CLI name and return its result rows."""
-    if name == "serve" and checkpoint is not None:
+    if name == "serve":
+        if checkpoint is None:
+            raise ValueError(SERVE_NEEDS_CHECKPOINT)
         # Artifact serving needs no profile: the checkpoint manifest's
         # provenance decides how the scenario is re-assembled.
         return runners.run_checkpoint_serving(checkpoint, top_k=top_k,
@@ -175,33 +147,12 @@ def run_experiment(name: str, scenario: str, profile_name: Optional[str],
                                               index_backend=index_backend,
                                               nprobe=nprobe,
                                               index_dir=index_dir)
-    if name == "ann":
-        # Pure retrieval benchmark on synthetic latents; no profile either.
-        return runners.run_ann_benchmark(num_items=num_items, top_k=top_k,
-                                         nprobe=nprobe)
     profile = get_profile(profile_name)
-    if name == "bench-serve":
-        from .loadgen import run_loadgen_benchmark
-
-        return run_loadgen_benchmark(
-            scenario, batch_sizes=tuple(batch_sizes or (8, 64)),
-            workers=tuple(workers or (1, 4)),
-            nprobes=tuple(nprobes) if nprobes else (None,),
-            backends=tuple(backends or ("exact", "ivf")),
-            num_requests=requests, top_k=top_k, profile=profile,
-        )
     if name == "train":
         return runners.run_training_job(
             scenario, profile=profile, epochs=epochs, engine=engine,
             save_path=save_path, resume_path=resume_path,
             checkpoint_dir=checkpoint_dir,
-        )
-    if name == "serve":
-        return runners.run_serving_benchmark(
-            scenario, batch_sizes=tuple(batch_sizes or (1, 32, 256)),
-            top_k=top_k, profile=profile, index_backend=index_backend,
-            index_options=({"nprobe": nprobe} if nprobe is not None
-                           and index_backend == "ivf" else None),
         )
     if name == "table2":
         return runners.run_dataset_statistics(profile=profile)
@@ -302,36 +253,12 @@ def save_rows(rows: List[dict], path: str) -> str:
     raise ValueError(f"unsupported output extension for {path!r} (use .csv or .json)")
 
 
-def parse_int_list(value: str, flag: str, parser: argparse.ArgumentParser
-                   ) -> List[int]:
-    """Parse a comma-separated list of positive integers for ``flag``."""
-    try:
-        numbers = [int(piece) for piece in value.split(",") if piece.strip()]
-    except ValueError:
-        parser.error(f"{flag} must be comma-separated integers, got {value!r}")
-    if not numbers or any(number < 1 for number in numbers):
-        parser.error(f"{flag} must all be >= 1, got {value!r}")
-    return numbers
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    batch_sizes = parse_int_list(args.batch_sizes, "--batch-sizes", parser)
-    workers = parse_int_list(args.workers, "--workers", parser)
-    nprobes = (parse_int_list(args.nprobes, "--nprobes", parser)
-               if args.nprobes is not None else None)
-    backends = [piece.strip() for piece in args.backends.split(",")
-                if piece.strip()]
-    if not backends or any(backend not in ("exact", "ivf")
-                           for backend in backends):
-        parser.error(f"--backends must be a comma-separated subset of "
-                     f"exact,ivf — got {args.backends!r}")
-    if args.requests < 1:
-        parser.error(f"--requests must be >= 1, got {args.requests}")
-    if args.bench_json is not None and args.experiment != "bench-serve":
-        parser.error("--bench-json only applies to the bench-serve experiment")
+    if args.experiment == "serve" and args.checkpoint is None:
+        parser.error(SERVE_NEEDS_CHECKPOINT)
     if args.top_k < 1:
         parser.error(f"--top-k must be >= 1, got {args.top_k}")
     if args.epochs is not None and args.epochs < 1:
@@ -340,8 +267,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(f"--num-users must be >= 1, got {args.num_users}")
     if args.nprobe is not None and args.nprobe < 1:
         parser.error(f"--nprobe must be >= 1, got {args.nprobe}")
-    if args.num_items < 1:
-        parser.error(f"--num-items must be >= 1, got {args.num_items}")
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
     if args.experiment == "suite":
@@ -359,32 +284,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"error: {error}", file=sys.stderr)
             return 2
     rows = run_experiment(args.experiment, args.scenario, args.profile,
-                          include_savae=not args.no_savae,
-                          batch_sizes=batch_sizes, top_k=args.top_k,
+                          include_savae=not args.no_savae, top_k=args.top_k,
                           save_path=args.save, resume_path=args.resume,
                           checkpoint_dir=args.checkpoint_dir,
                           epochs=args.epochs, engine=args.engine,
                           checkpoint=args.checkpoint, num_users=args.num_users,
                           index_backend=args.index_backend, nprobe=args.nprobe,
-                          index_dir=args.index_dir, num_items=args.num_items,
-                          workers=workers, requests=args.requests,
-                          backends=backends, nprobes=nprobes)
+                          index_dir=args.index_dir)
     print(runners.format_rows(rows))
-    if args.bench_json:
-        from .loadgen import save_bench_serve
-
-        artifact = save_bench_serve(rows, args.bench_json, config={
-            "experiment": args.experiment,
-            "scenario": args.scenario,
-            "profile": get_profile(args.profile).name,
-            "batch_sizes": batch_sizes,
-            "workers": workers,
-            "backends": backends,
-            "nprobes": nprobes,
-            "requests": args.requests,
-            "top_k": args.top_k,
-        })
-        print(f"\nwrote BENCH_serve artifact to {artifact}")
     if args.save:
         print(f"\nsaved checkpoint to {args.save}")
     if args.output:

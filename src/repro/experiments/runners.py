@@ -14,9 +14,12 @@ Table VIII (overlap ratio)   :func:`run_overlap_ratio`
 Table IX (interaction #)     :func:`run_interaction_groups`
 Figure 5 (beta sweep)        :func:`run_beta_sweep`
 Figure 6 (layer count)       :func:`run_layer_sweep`
-Serving throughput (extra)   :func:`run_serving_benchmark`
-ANN retrieval (extra)        :func:`run_ann_benchmark`
 ===========================  ==========================================
+
+Next to them sit the checkpoint pipeline (:func:`run_training_job`,
+:func:`run_checkpoint_serving`) and :func:`make_synthetic_catalog`, the
+catalogue generator of the ANN tests and the ``retrieve-*`` workloads of
+``bench/``.  Timing lives in ``bench/`` alone (``python3 -m bench run``).
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from __future__ import annotations
 import copy
 import dataclasses
 import os
-import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -246,7 +248,7 @@ def run_checkpoint_serving(checkpoint_path: str, top_k: int = 10,
     scenario = model.scenario
     split = scenario.x_to_y
     # nprobe only means something to the IVF backend; exact search has no
-    # tunables (same guard as the live-serve CLI path).
+    # tunables.
     index_options = ({"nprobe": int(nprobe)}
                      if nprobe is not None and index_backend == "ivf" else {})
     prebuilt = None
@@ -497,127 +499,7 @@ def run_layer_sweep(scenario_name: str,
 
 
 # --------------------------------------------------------------------------- #
-# Training throughput (fast training engine)
-# --------------------------------------------------------------------------- #
-def run_training_benchmark(scenario_name: str = "game_video",
-                           engines: Sequence[str] = CDRIBTrainer.ENGINES,
-                           steps_per_block: int = 15,
-                           repeats: int = 5,
-                           profile: Optional[ExperimentProfile] = None) -> List[ROW]:
-    """Measure trainer steps/sec of every training engine on one scenario.
-
-    One trainer per engine runs interleaved timing blocks of
-    ``steps_per_block`` optimisation steps; the per-engine rate is taken
-    from the *fastest* block (standard microbenchmark practice — ambient
-    load only ever slows a block down).  Because all engines consume
-    identical RNG streams, the measured per-step losses double as a
-    faithfulness check, reported as ``max_loss_deviation`` against the
-    reference (seed) engine.
-    """
-    if "reference" not in engines:
-        raise ValueError("the engine list must include 'reference' (the baseline)")
-    profile = profile if profile is not None else get_profile()
-    scenario = build_paper_scenario(scenario_name, profile)
-
-    trainers: Dict[str, CDRIBTrainer] = {}
-    for engine in engines:
-        model = CDRIB(scenario, profile.cdrib)
-        trainers[engine] = CDRIBTrainer(model, engine=engine)
-        # Warm-up: graph/transpose caches, sampler structures, BLAS threads.
-        trainers[engine].run_steps(max(4, steps_per_block // 3))
-
-    best: Dict[str, float] = {engine: float("inf") for engine in engines}
-    losses: Dict[str, List[float]] = {engine: [] for engine in engines}
-    for _ in range(repeats):
-        for engine in engines:
-            start = time.perf_counter()
-            losses[engine].extend(trainers[engine].run_steps(steps_per_block))
-            best[engine] = min(best[engine], time.perf_counter() - start)
-
-    reference_losses = np.asarray(losses["reference"])
-    reference_rate = steps_per_block / best["reference"]
-    rows: List[ROW] = []
-    for engine in engines:
-        deviation = float(np.max(np.abs(np.asarray(losses[engine])
-                                        - reference_losses)))
-        rate = steps_per_block / best[engine]
-        rows.append({
-            "scenario": scenario_name,
-            "engine": engine,
-            "steps_timed": steps_per_block * repeats,
-            "steps_per_sec": rate,
-            "speedup_vs_reference": rate / reference_rate,
-            "max_loss_deviation": deviation,
-        })
-    return rows
-
-
-# --------------------------------------------------------------------------- #
-# Serving throughput (repro.serve demo)
-# --------------------------------------------------------------------------- #
-def run_serving_benchmark(scenario_name: str,
-                          batch_sizes: Sequence[int] = (1, 32, 256),
-                          top_k: int = 10,
-                          total_users: int = 256,
-                          profile: Optional[ExperimentProfile] = None,
-                          train_epochs: int = 3,
-                          index_backend: str = "exact",
-                          index_options: Optional[Dict[str, object]] = None
-                          ) -> List[ROW]:
-    """Measure batched cold-start serving throughput (``repro.serve``).
-
-    Trains a small CDRIB checkpoint, builds a :class:`~repro.serve.ColdStartServer`
-    for the X -> Y direction and serves ``total_users`` requests (sampled with
-    replacement, mimicking skewed production traffic) at each batch size.
-    ``index_backend`` / ``index_options`` select the retrieval backend
-    (``"exact"`` or ``"ivf"``); pure index-side throughput at catalogue
-    scale is measured separately by :func:`run_ann_benchmark`.
-
-    Returns one row per configuration with users/sec and the speedup relative
-    to the *first* batch size (per-user serving with the default sizes).
-    """
-    from ..serve import ColdStartServer
-
-    if not batch_sizes or any(size < 1 for size in batch_sizes):
-        raise ValueError(f"batch_sizes must all be >= 1, got {batch_sizes!r}")
-    profile = profile if profile is not None else get_profile()
-    scenario = build_paper_scenario(scenario_name, profile)
-    config = profile.cdrib.variant(epochs=min(profile.cdrib.epochs, train_epochs))
-    trainer = train_cdrib(scenario, config)
-    split = scenario.x_to_y
-
-    rng = np.random.default_rng(profile.seed)
-    num_source_users = scenario.domain(split.source).num_users
-    users = rng.integers(0, num_source_users, size=total_users)
-
-    server = ColdStartServer(trainer.model, split.source, split.target,
-                             top_k=top_k, index_backend=index_backend,
-                             index_options=index_options)
-    rows: List[ROW] = []
-    base_rate: Optional[float] = None
-    for batch_size in batch_sizes:
-        start = time.perf_counter()
-        for begin in range(0, total_users, batch_size):
-            server.recommend(users[begin:begin + batch_size])
-        elapsed = time.perf_counter() - start
-        rate = total_users / elapsed if elapsed > 0 else float("inf")
-        if base_rate is None:
-            base_rate = rate
-        rows.append({
-            "scenario": scenario_name,
-            "direction": f"{split.source}->{split.target}",
-            "mode": "batched",
-            "index": index_backend,
-            "batch_size": batch_size,
-            "users_served": total_users,
-            "users_per_sec": rate,
-            "speedup_vs_single": rate / base_rate,
-        })
-    return rows
-
-
-# --------------------------------------------------------------------------- #
-# ANN retrieval benchmark (repro.serve.ann)
+# Synthetic catalogue (ANN tests and bench/'s retrieve-* workloads)
 # --------------------------------------------------------------------------- #
 def make_synthetic_catalog(num_items: int, dim: int, seed: int = 0,
                            num_centers: int = 512, noise: float = 0.25,
@@ -638,81 +520,6 @@ def make_synthetic_catalog(num_items: int, dim: int, seed: int = 0,
     queries = (centers[rng.integers(0, num_centers, size=num_queries)]
                + noise * rng.standard_normal((num_queries, dim)))
     return catalog, queries
-
-
-def run_ann_benchmark(num_items: int = 200_000, dim: int = 64,
-                      top_k: int = 10, num_queries: int = 256,
-                      batch_size: int = 64, seed: int = 0,
-                      num_clusters: Optional[int] = None,
-                      nprobe: Optional[int] = None,
-                      noise: float = 0.25, repeats: int = 3) -> List[ROW]:
-    """Exact vs. IVF retrieval on a catalogue-scale synthetic item set.
-
-    Builds both backends over the same ``num_items``-item synthetic catalog
-    (:func:`make_synthetic_catalog`), serves the same query stream through
-    each in batches of ``batch_size``, and reports per-backend build time,
-    queries/sec, speedup over exact search and recall@``top_k`` against the
-    exact lists (:func:`repro.eval.recall_against_exact`; 1.0 for the exact
-    backend by construction).  Each backend's query sweep runs ``repeats``
-    times and the rate comes from the *fastest* sweep — standard
-    microbenchmark practice (ambient load only ever slows a sweep down),
-    shared with :func:`run_training_benchmark`.  ``num_clusters`` /
-    ``nprobe`` of ``None`` use the IVF defaults — the configuration gated by
-    ``benchmarks/test_ann_retrieval.py`` (IVF faster than exact, recall@10
-    ≥ 0.95 at 200k+ items).
-    """
-    from ..eval import recall_against_exact
-    from ..serve import make_index
-
-    if num_items < 1 or num_queries < 1 or batch_size < 1 or top_k < 1:
-        raise ValueError("num_items, num_queries, batch_size and top_k must "
-                         "all be >= 1")
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    catalog, queries = make_synthetic_catalog(num_items, dim, seed=seed,
-                                              noise=noise,
-                                              num_queries=num_queries)
-
-    options: Dict[str, Dict[str, object]] = {"exact": {}, "ivf": {}}
-    if num_clusters is not None:
-        options["ivf"]["num_clusters"] = int(num_clusters)
-    if nprobe is not None:
-        options["ivf"]["nprobe"] = int(nprobe)
-
-    rows: List[ROW] = []
-    results: Dict[str, np.ndarray] = {}
-    exact_rate: Optional[float] = None
-    for backend in ("exact", "ivf"):
-        start = time.perf_counter()
-        index = make_index(catalog, backend=backend, **options[backend])
-        build_seconds = time.perf_counter() - start
-        index.top_k(queries[:batch_size], top_k)  # warm-up (BLAS threads)
-        best = float("inf")
-        for _ in range(repeats):
-            item_lists = []
-            start = time.perf_counter()
-            for begin in range(0, num_queries, batch_size):
-                items, _ = index.top_k(queries[begin:begin + batch_size], top_k)
-                item_lists.append(items)
-            best = min(best, time.perf_counter() - start)
-        results[backend] = np.concatenate(item_lists)
-        rate = num_queries / best if best > 0 else float("inf")
-        if backend == "exact":
-            exact_rate = rate
-        rows.append({
-            "backend": backend,
-            "num_items": num_items,
-            "dim": dim,
-            "top_k": top_k,
-            "num_clusters": getattr(index, "num_clusters", ""),
-            "nprobe": getattr(index, "nprobe", ""),
-            "build_seconds": build_seconds,
-            "queries_per_sec": rate,
-            "speedup_vs_exact": rate / exact_rate if exact_rate else float("inf"),
-            "recall_at_k": recall_against_exact(results[backend],
-                                                results["exact"]),
-        })
-    return rows
 
 
 # --------------------------------------------------------------------------- #

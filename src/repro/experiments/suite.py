@@ -442,7 +442,7 @@ def _ann_check_row(model, scenario, job: JobSpec) -> ROW:
     the IVF recall@10 against the exact lists.  Probes a quarter of the
     cells — smoke-profile catalogues are tiny, so the row documents that the
     approximate path works end to end, not production recall (that is
-    ``benchmarks/test_ann_retrieval.py``'s job).  Deterministic given the
+    ``tests/test_serve_ann.py``'s job).  Deterministic given the
     job spec, so parallel suites stay bit-identical to serial ones.
     """
     from ..eval import recall_against_exact

@@ -28,8 +28,9 @@ pre-registered, and :class:`~repro.serve.ColdStartServer` accepts
 checksummed :mod:`repro.io` checkpoint (:func:`save_index` /
 :func:`load_index`), so a served index is reproducible from its manifest.
 
-Throughput and recall trade-offs are gated in
-``benchmarks/test_ann_retrieval.py`` and documented in ``docs/SERVING.md``.
+Recall and speed at catalogue scale are gated in ``tests/test_serve_ann.py``,
+measured by the ``retrieve-*`` workloads of ``bench/`` and documented in
+``docs/SERVING.md``.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ class IVFIndex:
     nprobe:
         Cells visited per query.  Default: ``max(1, num_clusters // 32)``
         (~3% of the catalogue at the default cluster count), which clears
-        the recall@10 ≥ 0.95 gate of ``benchmarks/test_ann_retrieval.py``.
+        the recall@10 ≥ 0.95 gate of ``tests/test_serve_ann.py``.
     seed, kmeans_iters, train_size:
         Quantizer training controls (see :func:`kmeans_quantizer`).
     """

@@ -25,6 +25,7 @@ calls for the same traffic (pinned by ``tests/test_serve_frontend.py``)::
 from __future__ import annotations
 
 import logging
+import operator
 import threading
 import time
 from typing import Callable, List, Optional
@@ -35,10 +36,14 @@ _log = logging.getLogger(__name__)
 
 
 class PendingRequest:
-    """A future-like ticket for one enqueued recommendation request."""
+    """A future-like ticket for one enqueued recommendation request.
+
+    ``user`` must be an integer (``operator.index``): a float id raises
+    :class:`TypeError` at submit time instead of being truncated.
+    """
 
     def __init__(self, user: int, k: Optional[int], batcher: "RequestBatcher"):
-        self.user = int(user)
+        self.user = operator.index(user)
         self.k = k
         self._batcher = batcher
         self._result: Optional[Recommendation] = None
@@ -154,7 +159,8 @@ class RequestBatcher:
         With ``max_delay`` configured, a submit that finds the oldest queued
         request past its deadline also flushes — so a timed-out partial
         batch is served together with the request that discovered it.
-        Raises :class:`RuntimeError` once the batcher is closed.
+        Raises :class:`TypeError` for a non-integer ``user`` (nothing is
+        queued) and :class:`RuntimeError` once the batcher is closed.
         """
         with self._lock:
             if self._closed:

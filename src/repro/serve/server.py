@@ -25,6 +25,7 @@ including score ties.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -33,6 +34,20 @@ import numpy as np
 from ..core.cdrib import CDRIB
 from .ann import build_index
 from .item_index import TopKIndex
+
+
+def _as_ids(values: Sequence[int], what: str) -> np.ndarray:
+    """``values`` as an int64 index array; non-integer ids raise TypeError.
+
+    Casting with ``np.asarray(values, dtype=np.int64)`` would truncate a
+    ``1.9`` to ``1`` and serve the wrong row, so only integer dtypes pass.
+    An empty sequence passes whatever its dtype (``np.asarray([])`` is
+    float64).
+    """
+    ids = np.asarray(values)
+    if ids.size and not np.issubdtype(ids.dtype, np.integer):
+        raise TypeError(f"{what} ids must be integers, got dtype {ids.dtype}")
+    return ids.astype(np.int64, copy=False)
 
 
 @dataclass
@@ -75,7 +90,7 @@ class ColdStartServer:
         Transfer direction: users are encoded in ``source``, items come from
         ``target``.
     top_k:
-        Default recommendation list length.
+        Default recommendation list length (an integer >= 1).
     exclude_seen:
         When True and ``source == target``, items the user interacted with in
         training are removed from the candidates.  (For genuine cold-start
@@ -104,7 +119,9 @@ class ColdStartServer:
         self.model = model
         self.source = source
         self.target = target
-        self.top_k = int(top_k)
+        self.top_k = operator.index(top_k)
+        if self.top_k < 1:
+            raise ValueError(f"top_k must be >= 1, got {top_k}")
         self.exclude_seen = bool(exclude_seen)
         if index is not None:
             expected = model._domain_parts(target)[3].num_items
@@ -151,8 +168,12 @@ class ColdStartServer:
         return table
 
     def user_latents(self, users: Sequence[int]) -> np.ndarray:
-        """Latents for ``users``: rows of the per-checkpoint table (a copy)."""
-        users = np.asarray(users, dtype=np.int64)
+        """Latents for ``users``: rows of the per-checkpoint table (a copy).
+
+        Raises :class:`TypeError` for non-integer ids and
+        :class:`ValueError` for ids outside the source domain.
+        """
+        users = _as_ids(users, "user")
         num_users = self._user_latents.shape[0]
         if users.size and (users.min() < 0 or users.max() >= num_users):
             raise ValueError(
@@ -180,7 +201,7 @@ class ColdStartServer:
     def recommend(self, users: Sequence[int],
                   k: Optional[int] = None) -> List[Recommendation]:
         """Top-K recommendations for a batch of source-domain users."""
-        users = np.asarray(users, dtype=np.int64)
+        users = _as_ids(users, "user")
         k = self.top_k if k is None else int(k)
         latents = self.user_latents(users)
         exclude = None
@@ -209,10 +230,10 @@ class ColdStartServer:
 
         Item indices are validated: a stray ``-1`` (the padding value of
         :meth:`TopKIndex.top_k`) would otherwise wrap to the *last* catalogue
-        item via fancy indexing and return a confidently wrong score.
+        item via fancy indexing and return a confidently wrong score, and a
+        non-integer id raises :class:`TypeError` instead of being truncated.
         """
-        users = np.asarray(users, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
+        items = _as_ids(items, "item")
         if items.size and (items.min() < 0 or items.max() >= self.index.num_items):
             raise ValueError(
                 f"item index out of range for target domain {self.target!r} "

@@ -6,14 +6,18 @@ trajectory — same edge picks, same negative pools, same dropout masks and
 reparameterisation noise, same optimizer arithmetic.  These tests pin a
 20-step loss sequence of the reference (seed) path and require the fused
 engine to match it, including across an epoch boundary and across
-interrupted ``run_steps`` calls.
+interrupted ``run_steps`` calls, and require it to be faster than the
+reference path it replicates.
 """
+
+import time
 
 import numpy as np
 import pytest
 
 from repro.core import CDRIB, CDRIBConfig, CDRIBTrainer
 from repro.data import SyntheticConfig, SyntheticCrossDomainGenerator, build_scenario
+from repro.experiments import build_paper_scenario, get_profile
 
 # 20 per-step losses of the reference engine on the scenario below
 # (seed implementation semantics; regenerate only with a justified
@@ -139,3 +143,51 @@ class TestGoldenTrajectory:
         for engine in ("warp-speed", "subgraph"):
             with pytest.raises(ValueError, match="unknown engine"):
                 CDRIBTrainer(model, engine=engine)
+
+
+@pytest.fixture(scope="module")
+def timed_engines():
+    """Interleaved timing of both engines: (best block seconds, losses).
+
+    Blocks of 15 steps per engine on ``game_video`` at the smoke profile;
+    each engine's rate comes from its fastest of 5 blocks (ambient load
+    only ever slows a block down).  The losses are those of the very
+    steps being timed.
+    """
+    profile = get_profile("smoke")
+    scenario = build_paper_scenario("game_video", profile)
+    trainers = {engine: CDRIBTrainer(CDRIB(scenario, profile.cdrib),
+                                     engine=engine)
+                for engine in CDRIBTrainer.ENGINES}
+    for trainer in trainers.values():
+        trainer.run_steps(5)  # warm-up: caches, sampler, BLAS threads
+    best = dict.fromkeys(trainers, float("inf"))
+    losses = {engine: [] for engine in trainers}
+    for _ in range(5):
+        for engine, trainer in trainers.items():
+            start = time.perf_counter()
+            losses[engine].extend(trainer.run_steps(15))
+            best[engine] = min(best[engine], time.perf_counter() - start)
+    return best, losses
+
+
+class TestTrainingThroughput:
+    def test_fused_engine_faster_than_reference(self, timed_engines):
+        """The fused engine earns its place: faster than the seed path.
+
+        The gate is not a fixed multiple, since the margin depends on the
+        core count and BLAS build; the ``train`` workload of
+        ``python3 -m bench`` tracks the speed.
+        """
+        best, _ = timed_engines
+        ratio = best["reference"] / best["fused"]
+        assert ratio > 1.0, f"fused engine is {ratio:.2f}x the reference rate"
+
+
+class TestTrainingFaithfulness:
+    def test_timed_losses_match_seed_to_1e10(self, timed_engines):
+        """The fused engine's losses equal the seed trajectory on the timed
+        steps, so the speed gate cannot pass by trading correctness."""
+        _, losses = timed_engines
+        np.testing.assert_allclose(losses["fused"], losses["reference"],
+                                   rtol=0, atol=ENGINE_ATOL)

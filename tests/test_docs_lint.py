@@ -175,7 +175,7 @@ class TestMarkdownCodeBlockLint:
             "index = repro.serve.ann.make_index",
             "```",
             "```bash",
-            "PYTHONPATH=src python -m repro.experiments.cli ann --num-items 60000",
+            "PYTHONPATH=src python -m repro.experiments.cli serve --checkpoint runs/ckpt --top-k 5",
             "repro suite --spec main-tables --jobs 4",
             "```",
         ]))
@@ -201,6 +201,22 @@ class TestMarkdownCodeBlockLint:
         assert any("table42" in p for p in problems)
         assert any("--no-such-flag" in p for p in problems)
         assert any("never_written" in p for p in problems)
+
+    def test_inline_code_paths_checked(self, tmp_path):
+        problems = self._lint(tmp_path, "\n".join([
+            "Timing lives in `bench/README.md`, tables in `benchmarks/`.",
+            "",
+            "The gate was `benchmarks/never.py`; see `bench/nowhere.json`.",
+            "```text",
+            "`benchmarks/inside_a_fence.py` is not inline code",
+            "```",
+        ]))
+        assert problems == [
+            f"{tmp_path / 'doc.md'}:3: path 'benchmarks/never.py' in inline "
+            f"code does not exist",
+            f"{tmp_path / 'doc.md'}:3: path 'bench/nowhere.json' in inline "
+            f"code does not exist",
+        ]
 
     def test_untagged_and_other_language_blocks_ignored(self, tmp_path):
         problems = self._lint(tmp_path, "\n".join([

@@ -1,17 +1,12 @@
 """Tests for the load-generation harness (``repro.experiments.loadgen``)."""
 
-import json
-
 import numpy as np
 import pytest
 
 from repro.core import CDRIB, CDRIBConfig, CDRIBTrainer
 from repro.experiments.loadgen import (
     generate_traffic,
-    load_bench_serve,
     run_load_test,
-    run_loadgen_benchmark,
-    save_bench_serve,
     summarize_latencies,
 )
 from repro.serve import ColdStartServer
@@ -111,18 +106,6 @@ class TestRunLoadTest:
         assert result.requests == 4
         assert result.latencies_seconds.shape == (4,)
 
-    def test_row_carries_the_artifact_schema(self, trained_model,
-                                             small_scenario, tmp_path):
-        server = make_server(trained_model, small_scenario)
-        result = run_load_test(server, [0, 1, 2, 3], workers=1,
-                               max_batch_size=2)
-        row = result.as_row()
-        for key in ("users_per_sec", "p50_ms", "p90_ms", "p99_ms",
-                    "requests", "workers"):
-            assert key in row
-        path = save_bench_serve([row], str(tmp_path / "BENCH_serve.json"))
-        assert load_bench_serve(path)["rows"][0]["requests"] == 4
-
     def test_invalid_arguments_rejected(self, trained_model, small_scenario):
         server = make_server(trained_model, small_scenario)
         with pytest.raises(ValueError):
@@ -131,126 +114,37 @@ class TestRunLoadTest:
             run_load_test(server, [0, 1], workers=0)
 
 
-class TestLoadgenBenchmark:
-    def test_sweep_produces_one_row_per_configuration(self):
-        from repro.experiments.config import get_profile
-
-        rows = run_loadgen_benchmark(
-            "game_video", batch_sizes=(8,), workers=(1, 2),
-            backends=("exact",), num_requests=24, top_k=4,
-            profile=get_profile("smoke"))
-        assert len(rows) == 2  # 1 batch size x 2 worker counts x 1 backend
-        for row in rows:
-            assert row["backend"] == "exact"
-            assert row["requests"] == 24
-            assert row["users_per_sec"] > 0
-            assert row["p50_ms"] <= row["p90_ms"] <= row["p99_ms"]
-        assert sorted(row["workers"] for row in rows) == [1, 2]
-
-    def test_nprobe_axis_applies_to_ivf_only(self):
-        from repro.experiments.config import get_profile
-
-        rows = run_loadgen_benchmark(
-            "game_video", batch_sizes=(8,), workers=(1,),
-            nprobes=(1, 2), backends=("exact", "ivf"), num_requests=16,
-            top_k=4, profile=get_profile("smoke"))
-        exact = [row for row in rows if row["backend"] == "exact"]
-        ivf = [row for row in rows if row["backend"] == "ivf"]
-        assert len(exact) == 1 and exact[0]["nprobe"] == ""
-        assert sorted(row["nprobe"] for row in ivf) == [1, 2]
-
-    def test_invalid_axes_rejected(self):
-        with pytest.raises(ValueError):
-            run_loadgen_benchmark(batch_sizes=())
-        with pytest.raises(ValueError):
-            run_loadgen_benchmark(workers=(0,))
-        with pytest.raises(ValueError):
-            run_loadgen_benchmark(backends=())
-        with pytest.raises(ValueError):
-            run_loadgen_benchmark(num_requests=0)
+@pytest.fixture(scope="module")
+def latency_results(trained_model, small_scenario):
+    """One load test per backend x max batch size x worker count."""
+    num_users = small_scenario.domain_x.graph.num_users
+    traffic = generate_traffic(192, num_users, seed=0)
+    results = []
+    for backend in ("exact", "ivf"):
+        server = make_server(trained_model, small_scenario, top_k=10,
+                             index_backend=backend)
+        for max_batch_size in (8, 64):
+            for workers in (1, 4):
+                results.append(run_load_test(server, traffic, workers=workers,
+                                             max_batch_size=max_batch_size))
+    return results
 
 
-class TestBenchServeArtifact:
-    def _rows(self):
-        return [{"backend": "exact", "max_batch_size": 8, "workers": 2,
-                 "nprobe": "", "users_per_sec": 1000.0, "p50_ms": 1.0,
-                 "p90_ms": 2.0, "p99_ms": 3.0}]
+class TestServingLatency:
+    """Structural gates of concurrent serving over both index backends.
 
-    def test_round_trip(self, tmp_path):
-        path = str(tmp_path / "BENCH_serve.json")
-        written = save_bench_serve(self._rows(), path,
-                                   config={"scenario": "game_video"})
-        payload = load_bench_serve(written)
-        assert payload["benchmark"] == "bench-serve"
-        assert payload["schema_version"] == 2
-        assert payload["config"]["scenario"] == "game_video"
-        assert payload["rows"][0]["users_per_sec"] == 1000.0
-        assert payload["generated_unix"] > 0
+    Percentile order, positive throughput and every request served, not
+    absolute latencies, which would flake on shared machines; the
+    ``serve-hot`` workload of ``python3 -m bench`` times serving.
+    """
 
-    def test_empty_rows_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            save_bench_serve([], str(tmp_path / "x.json"))
+    def test_percentiles_ordered_and_throughput_positive(self,
+                                                         latency_results):
+        for result in latency_results:
+            assert result.errors == 0
+            assert result.users_per_sec > 0
+            assert (0 < result.latency["p50_ms"] <= result.latency["p90_ms"]
+                    <= result.latency["p99_ms"])
 
-    def test_rows_missing_schema_keys_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="p99_ms"):
-            save_bench_serve([{"users_per_sec": 1.0}],
-                             str(tmp_path / "x.json"))
-
-    def test_foreign_artifact_rejected(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text(json.dumps({"benchmark": "something-else"}))
-        with pytest.raises(ValueError, match="not a bench-serve"):
-            load_bench_serve(str(path))
-        path.write_text(json.dumps({"benchmark": "bench-serve",
-                                    "schema_version": 99, "rows": [{}]}))
-        with pytest.raises(ValueError, match="schema_version"):
-            load_bench_serve(str(path))
-
-
-class TestBenchServeCLI:
-    def test_parser_accepts_bench_serve_flags(self):
-        from repro.experiments.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["bench-serve", "--workers", "1,4", "--requests", "64",
-             "--backends", "exact", "--nprobes", "2,4",
-             "--bench-json", "out/BENCH_serve.json"])
-        assert args.experiment == "bench-serve"
-        assert args.workers == "1,4"
-        assert args.requests == 64
-        assert args.backends == "exact"
-        assert args.nprobes == "2,4"
-        assert args.bench_json == "out/BENCH_serve.json"
-
-    def test_invalid_flags_rejected(self, capsys):
-        from repro.experiments.cli import main
-
-        with pytest.raises(SystemExit):
-            main(["bench-serve", "--workers", "0,2"])
-        assert "--workers" in capsys.readouterr().err
-        with pytest.raises(SystemExit):
-            main(["bench-serve", "--backends", "faiss"])
-        assert "--backends" in capsys.readouterr().err
-        with pytest.raises(SystemExit):
-            main(["bench-serve", "--requests", "0"])
-        assert "--requests" in capsys.readouterr().err
-        with pytest.raises(SystemExit):
-            main(["serve", "--bench-json", "x.json"])
-        assert "--bench-json" in capsys.readouterr().err
-
-    def test_main_writes_bench_serve_artifact(self, tmp_path, capsys):
-        from repro.experiments.cli import main
-
-        artifact = str(tmp_path / "BENCH_serve.json")
-        code = main(["bench-serve", "--profile", "smoke",
-                     "--batch-sizes", "8", "--workers", "1,2",
-                     "--backends", "exact", "--requests", "24",
-                     "--top-k", "4", "--bench-json", artifact])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "users_per_sec" in out
-        assert "wrote BENCH_serve artifact" in out
-        payload = load_bench_serve(artifact)
-        assert len(payload["rows"]) == 2
-        assert payload["config"]["profile"] == "smoke"
-        assert payload["config"]["workers"] == [1, 2]
+    def test_every_request_served(self, latency_results):
+        assert all(result.requests == 192 for result in latency_results)

@@ -525,6 +525,94 @@ class TestColdStartServer:
         scores = server.score_pairs([0], [num_items - 1])
         assert np.isfinite(scores).all()
 
+    def test_non_integer_ids_rejected(self, server):
+        """Truncation regression: a float id used to be cast to int64, so
+        ``recommend([1.9])`` served user 1 and ``score_pairs([1], [1.5])``
+        scored item 1; both must raise instead."""
+        with pytest.raises(TypeError, match="user ids must be integers"):
+            server.recommend([1.9])
+        with pytest.raises(TypeError, match="user ids must be integers"):
+            server.user_latents(np.array([0.0, 2.0]))
+        with pytest.raises(TypeError, match="item ids must be integers"):
+            server.score_pairs([1], [1.5])
+        with pytest.raises(TypeError, match="user ids must be integers"):
+            server.score_pairs([1.5], [1])
+
+    def test_integer_ids_of_any_width_and_empty_batches_served(self, server):
+        narrow = server.recommend(np.array([1, 4], dtype=np.int32), k=5)
+        wide = server.recommend([np.int64(1), 4], k=5)
+        for a, b in zip(narrow, wide):
+            assert a.user == b.user
+            assert np.array_equal(a.items, b.items)
+        # np.asarray([]) is float64, but an empty batch holds no bad id.
+        assert server.recommend([]) == []
+        assert server.user_latents([]).shape == (0, server.index.dim)
+        assert server.score_pairs([], []).shape == (0,)
+
+    @pytest.mark.parametrize("top_k", [0, -3])
+    def test_nonpositive_top_k_rejected(self, trained_model, small_scenario,
+                                        top_k):
+        """Such a server used to construct fine and then fail every
+        default-``k`` request."""
+        with pytest.raises(ValueError, match="top_k must be >= 1"):
+            ColdStartServer(trained_model, small_scenario.domain_x.name,
+                            small_scenario.domain_y.name, top_k=top_k)
+
+
+@pytest.fixture(scope="module")
+def paper_served_setup():
+    """``game_video`` at the smoke profile, briefly trained, served X -> Y."""
+    from repro.experiments import build_paper_scenario, get_profile, train_cdrib
+
+    profile = get_profile("smoke")
+    scenario = build_paper_scenario("game_video", profile)
+    config = profile.cdrib.variant(epochs=min(profile.cdrib.epochs, 3))
+    model = train_cdrib(scenario, config).model
+    split = scenario.x_to_y
+    server = ColdStartServer(model, split.source, split.target, top_k=10)
+    return scenario, model, server
+
+
+class TestServingExactness:
+    """Served lists are exact on a paper-shaped scenario, not only the toy one."""
+
+    def test_topk_identical_to_brute_force(self, paper_served_setup):
+        """Served lists == brute-force full ranking (tie-stable)."""
+        scenario, _, server = paper_served_setup
+        users = [u.source_user for u in scenario.x_to_y.test][:16]
+        recommendations = server.recommend(users, k=10)
+        latents = server.user_latents(np.asarray(users, dtype=np.int64))
+        for row, rec in enumerate(recommendations):
+            full = brute_force_ranking(server.index.scores(latents[row])[0])
+            assert np.array_equal(rec.items, full[:10])
+
+    def test_batched_lists_equal_per_user_lists(self, paper_served_setup):
+        scenario, _, server = paper_served_setup
+        users = [u.source_user for u in scenario.x_to_y.test][:64]
+        for user, rec in zip(users, server.recommend(users, k=10)):
+            single = server.recommend_one(user, k=10)
+            assert rec.user == single.user == user
+            assert np.array_equal(rec.items, single.items)
+            # BLAS picks different kernels for 1-row and n-row products.
+            np.testing.assert_allclose(rec.scores, single.scores,
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_full_ranking_agrees_with_pairwise_model_scorer(
+            self, paper_served_setup):
+        scenario, model, server = paper_served_setup
+        split = scenario.x_to_y
+        num_items = scenario.domain(split.target).num_items
+        user = split.test[0].source_user
+        pairwise = model.cold_start_scores(
+            split.source, split.target,
+            np.full(num_items, user, dtype=np.int64), np.arange(num_items),
+        )
+        rec = server.recommend_one(user, k=num_items)
+        assert_rankings_equivalent(rec.items, brute_force_ranking(pairwise),
+                                   pairwise)
+        np.testing.assert_allclose(rec.scores, pairwise[rec.items],
+                                   rtol=1e-9, atol=1e-12)
+
 
 class TestMetricsConsistency:
     """Served positions must agree with ``eval.metrics.rank_of_positive``."""
@@ -605,6 +693,16 @@ class TestRequestBatcher:
     def test_bad_batch_size(self, server):
         with pytest.raises(ValueError):
             RequestBatcher(server, max_batch_size=0)
+
+    def test_non_integer_user_rejected_at_submit(self, server):
+        """``submit(2.5)`` used to queue, and serve, user 2."""
+        batcher = RequestBatcher(server, max_batch_size=100)
+        with pytest.raises(TypeError):
+            batcher.submit(2.5)
+        assert len(batcher) == 0
+        ticket = batcher.submit(np.int64(2))
+        batcher.flush()
+        assert ticket.result().user == 2
 
 
 class TestRequestBatcherPoisonedBatch:

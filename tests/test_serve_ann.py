@@ -1,5 +1,7 @@
 """Tests for the approximate retrieval subsystem (``repro.serve.ann``)."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -26,8 +28,8 @@ from repro.serve import (
 def catalog_and_queries():
     """A small clustered catalogue + queries (IVF's favourable geometry).
 
-    Same generator as the benchmark gate (one source of truth for the
-    synthetic cluster geometry), at unit-test scale.
+    Same generator as the catalogue-scale gate below (one source of truth
+    for the synthetic cluster geometry), at unit-test scale.
     """
     return make_synthetic_catalog(num_items=4000, dim=16, seed=0,
                                   num_centers=48, noise=0.2, num_queries=24)
@@ -280,6 +282,55 @@ class TestIndexPersistence:
         save_checkpoint(bad, {"index/item_latents": catalog}, kind="topk-index")
         with pytest.raises(CheckpointError, match="metadata"):
             load_index(bad)
+
+
+#: The catalogue-scale gate: IVF at its default settings on 200k x 64 items.
+CATALOG_ITEMS = 200_000
+CATALOG_DIM = 64
+
+
+@pytest.fixture(scope="module")
+def catalogue_scale():
+    """Queries plus exact and default IVF indexes over the 200k catalogue."""
+    catalog, queries = make_synthetic_catalog(CATALOG_ITEMS, CATALOG_DIM)
+    return (queries, make_index(catalog, backend="exact"),
+            make_index(catalog, backend="ivf"))
+
+
+def _sweep(index, queries, k=10, batch_size=64):
+    """Serve every query in batches; returns (item lists, seconds)."""
+    start = time.perf_counter()
+    lists = [index.top_k(queries[begin:begin + batch_size], k)[0]
+             for begin in range(0, len(queries), batch_size)]
+    return np.concatenate(lists), time.perf_counter() - start
+
+
+class TestAnnRetrievalGates:
+    """IVF vs brute force at catalogue scale, profile-independent."""
+
+    def test_ivf_recall_at_10_floor(self, catalogue_scale):
+        """Acceptance: recall@10 >= 0.95 against exact search."""
+        queries, exact, ivf = catalogue_scale
+        exact_items, _ = _sweep(exact, queries)
+        ivf_items, _ = _sweep(ivf, queries)
+        assert recall_against_exact(ivf_items, exact_items) >= 0.95
+
+    def test_exact_backend_is_its_own_reference(self, catalogue_scale):
+        queries, exact, _ = catalogue_scale
+        exact_items, _ = _sweep(exact, queries)
+        assert recall_against_exact(exact_items, exact_items) == 1.0
+
+    def test_ivf_faster_than_exact(self, catalogue_scale):
+        """IVF at default nprobe beats brute force; no fixed multiple (the
+        ``retrieve-*`` workloads of ``python3 -m bench`` track the speed).
+        Each backend is warmed up, then timed as its fastest of 3 sweeps."""
+        queries, exact, ivf = catalogue_scale
+        best = {}
+        for index in (exact, ivf):
+            index.top_k(queries[:64], 10)  # warm-up (BLAS threads)
+            best[index.backend] = min(_sweep(index, queries)[1]
+                                      for _ in range(3))
+        assert best["ivf"] < best["exact"], best
 
 
 @pytest.fixture(scope="module")

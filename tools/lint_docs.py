@@ -14,9 +14,11 @@ subsystems — ``repro.serve``, ``repro.io``, ``repro.experiments``,
 ``bash`` in ``docs/*.md`` and ``README.md`` must reference things that
 exist: dotted ``repro.*`` module paths and imported names must resolve
 under ``src/``, ``python -m repro...`` module paths must exist, repo file
-paths (``examples/...``, ``benchmarks/...``) must exist, and CLI
-sub-commands / ``--flags`` on ``repro`` CLI lines must appear in the CLI
+paths (``examples/...``, ``benchmarks/...``, ``bench/...``) must exist, and
+CLI sub-commands / ``--flags`` on ``repro`` CLI lines must appear in the CLI
 source — so documentation examples cannot silently rot when code moves.
+Repo file paths in inline code spans (`` `bench/README.md` ``) outside the
+fenced blocks must exist too.
 
 Usage::
 
@@ -56,8 +58,10 @@ _MODULE_REF_RE = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 _IMPORT_RE = re.compile(
     r"^\s*from\s+(repro(?:\.[A-Za-z_][A-Za-z0-9_]*)*)\s+import\s+([^(#\n]+)$",
     re.MULTILINE)
+_FENCE_RE = re.compile(r"^```.*?^```\s*$", re.MULTILINE | re.DOTALL)
+_INLINE_CODE_RE = re.compile(r"`([^`\n]+)`")
 _REPO_PATH_RE = re.compile(
-    r"\b(?:examples|benchmarks|tests|tools|docs|src)/[\w./-]+")
+    r"\b(?:examples|benchmarks|bench|tests|tools|docs|src)/[\w./-]+")
 _FLAG_RE = re.compile(r"(?<![\w-])(--[a-z][\w-]*)")
 
 
@@ -207,8 +211,21 @@ def _lint_bash_block(block: str, root: Path, cli_source: str):
     return problems
 
 
+def _lint_inline_spans(text: str, root: Path):
+    """Yield (line, problem) for missing repo paths in inline code spans."""
+    # Blank the fenced blocks (keeping their newlines, so line numbers hold)
+    # before looking for single-backtick spans in the prose around them.
+    prose = _FENCE_RE.sub(lambda block: "\n" * block.group(0).count("\n"), text)
+    for span in _INLINE_CODE_RE.finditer(prose):
+        for path_ref in _REPO_PATH_RE.findall(span.group(1)):
+            if not (root / path_ref).exists():
+                yield (prose.count("\n", 0, span.start()) + 1,
+                       f"path {path_ref!r} in inline code does not exist")
+
+
 def lint_markdown_file(path: Path, root: Path = Path(".")) -> list:
-    """Check every python/bash code block of one markdown file."""
+    """Check every python/bash code block and inline code span of one
+    markdown file."""
     cli_path = root / CLI_SOURCE
     cli_source = cli_path.read_text(encoding="utf-8") if cli_path.is_file() else ""
     text = path.read_text(encoding="utf-8")
@@ -221,6 +238,8 @@ def lint_markdown_file(path: Path, root: Path = Path(".")) -> list:
         else:
             found = _lint_bash_block(block, root, cli_source)
         problems.extend(f"{path}:{lineno}: {problem}" for problem in found)
+    problems.extend(f"{path}:{lineno}: {problem}"
+                    for lineno, problem in _lint_inline_spans(text, root))
     return problems
 
 
