@@ -92,7 +92,6 @@ class LoadTestResult:
 
 def run_load_test(server, traffic: Sequence[int], workers: int = 4,
                   k: Optional[int] = None, max_batch_size: int = 64,
-                  max_delay: float = 0.002,
                   timeout: float = 120.0) -> LoadTestResult:
     """Drive ``server`` with ``workers`` concurrent closed-loop clients.
 
@@ -119,8 +118,7 @@ def run_load_test(server, traffic: Sequence[int], workers: int = 4,
     per_worker_latencies: List[List[float]] = [[] for _ in range(workers)]
     per_worker_errors = [0] * workers
 
-    with RequestBatcher(server, max_batch_size=max_batch_size,
-                        max_delay=max_delay).start() as batcher:
+    with RequestBatcher(server, max_batch_size=max_batch_size).start() as batcher:
         def drive(worker: int) -> None:
             latencies = per_worker_latencies[worker]
             for user in slices[worker]:

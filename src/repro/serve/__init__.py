@@ -18,10 +18,10 @@ into a batched serving subsystem:
   (``index_backend="exact" | "ivf"``).
 * :class:`RequestBatcher` — thread-safe micro-batching queue for streaming
   workloads: ``submit()`` from any thread returns a
-  :class:`PendingRequest` ticket, ``start()`` launches a background flusher
-  that enforces ``max_delay``, and served lists stay bit-identical to the
-  synchronous path.  :class:`ServingFrontend` is a batcher started at
-  construction.
+  :class:`PendingRequest` ticket, ``start()`` launches a work-conserving
+  background flusher that serves the queue whenever it is idle, so batches
+  grow with load, and served lists stay bit-identical to the synchronous
+  path.  :class:`ServingFrontend` is a batcher started at construction.
 * :func:`make_index` / :func:`build_index` / :func:`save_index` /
   :func:`load_index` — the backend registry and checksummed on-disk index
   artifacts (:mod:`repro.io` checkpoints).

@@ -2,22 +2,22 @@
 
 Every served call pays a fixed per-call cost (argument checks, one top-K
 pass against the item index, Python overhead) regardless of how many users
-ride along.  The :class:`RequestBatcher` therefore accumulates incoming
-requests and serves them in one vectorized batch: when the queue reaches
-``max_batch_size``, when the oldest request passes ``max_delay``, or when
-the caller flushes explicitly.  ``submit`` returns a :class:`PendingRequest`
-ticket, and every ticket of a batch is resolved (fulfilled or failed)
-during the same ``flush()``.
+ride along.  The :class:`RequestBatcher` therefore queues incoming requests
+and serves them in vectorized batches of at most ``max_batch_size``.
+``submit`` returns a :class:`PendingRequest` ticket, and every ticket of a
+flushed queue is resolved (fulfilled or failed) during the same ``flush()``.
 
 Used synchronously, nothing runs in the background and serving is fully
 deterministic; the correctness tests (serve vs. brute force) rely on this.
-:meth:`RequestBatcher.start` adds a background flusher thread, so client
-threads only ``submit()`` and block on ``ticket.result()``.  Batches are
-formed and served under one lock either way, so served lists are
-**bit-identical** to synchronous :meth:`~repro.serve.ColdStartServer.recommend`
-calls for the same traffic (pinned by ``tests/test_serve_frontend.py``)::
+:meth:`RequestBatcher.start` adds a work-conserving flusher thread that
+flushes whenever it is idle and the queue is not empty, so batches grow
+with load by themselves (dynamic batching, as in Clipper).  Client threads
+only ``submit()``, which never waits behind a batch in progress, and block
+on ``ticket.result()``.  Served lists are **bit-identical** to synchronous
+:meth:`~repro.serve.ColdStartServer.recommend` calls for the same traffic
+(pinned by ``tests/test_serve_frontend.py``)::
 
-    with RequestBatcher(server, max_delay=0.005).start() as batcher:
+    with RequestBatcher(server).start() as batcher:
         ticket = batcher.submit(user=4)          # from any thread
         print(ticket.result(timeout=1.0).items)
 """
@@ -27,10 +27,9 @@ from __future__ import annotations
 import logging
 import operator
 import threading
-import time
-from typing import Callable, List, Optional
+from typing import List, Optional
 
-from .server import ColdStartServer, Recommendation
+from .server import ColdStartServer, Recommendation, _as_k
 
 _log = logging.getLogger(__name__)
 
@@ -38,13 +37,15 @@ _log = logging.getLogger(__name__)
 class PendingRequest:
     """A future-like ticket for one enqueued recommendation request.
 
-    ``user`` must be an integer (``operator.index``): a float id raises
-    :class:`TypeError` at submit time instead of being truncated.
+    ``user`` must be an integer and ``k``, when given, an integer >= 1
+    (``operator.index``): a float raises :class:`TypeError` at submit time
+    instead of being truncated, and a bad ``k`` is refused before anything
+    is queued.
     """
 
     def __init__(self, user: int, k: Optional[int], batcher: "RequestBatcher"):
         self.user = operator.index(user)
-        self.k = k
+        self.k = None if k is None else _as_k(k)
         self._batcher = batcher
         self._result: Optional[Recommendation] = None
         self._error: Optional[BaseException] = None
@@ -89,17 +90,13 @@ class PendingRequest:
             raise self._error
         return self._result
 
-    def _fulfill(self, recommendation: Recommendation) -> None:
-        self._result = recommendation
-        self._resolved.set()
-
     def _fail(self, error: BaseException) -> None:
         self._error = error
         self._resolved.set()
 
 
 class RequestBatcher:
-    """Accumulate requests and serve them in vectorized batches.
+    """Queue requests and serve them in vectorized batches.
 
     Safe to call from any thread.  Call :meth:`start` to launch the
     background flusher, and :meth:`close` (or leave a ``with`` block) to
@@ -110,58 +107,43 @@ class RequestBatcher:
     server:
         The :class:`ColdStartServer` used to fulfil batches.
     max_batch_size:
-        Auto-flush threshold; queueing the ``max_batch_size``-th request
-        triggers an immediate flush.
-    max_delay:
-        Optional age limit (seconds) for the oldest queued request.  A
-        ``submit`` or :meth:`poll` that finds the queue older than this
-        flushes the partial batch, bounding tail latency under light
-        traffic; the started flusher checks it every ``max_delay / 4``
-        (clamped to [0.5 ms, 50 ms]).  ``None`` (default) keeps the
-        size-only policy.
-    clock:
-        Monotonic time source; injectable so timeout behaviour is testable
-        without sleeping.  The flusher thread itself sleeps in real time.
+        Most users served in one vectorized call.  A flush serves a longer
+        queue in consecutive batches of this size, and on a batcher that is
+        not started, the submit that queues the ``max_batch_size``-th
+        request flushes at once.
     """
 
-    def __init__(self, server: ColdStartServer, max_batch_size: int = 256,
-                 max_delay: Optional[float] = None,
-                 clock: Callable[[], float] = time.monotonic):
+    def __init__(self, server: ColdStartServer, max_batch_size: int = 256):
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_delay is not None and not max_delay >= 0:  # also rejects NaN
-            raise ValueError(f"max_delay must be non-negative, got {max_delay}")
         self.server = server
         self.max_batch_size = int(max_batch_size)
-        self.max_delay = max_delay
-        self._clock = clock
-        self._lock = threading.RLock()
-        self._oldest_enqueued: Optional[float] = None
+        # Guards the queue and the lifecycle flags, never serving, so a
+        # submit does not wait behind a batch; the flusher waits on it.
+        self._lock = threading.Condition(threading.Lock())
+        # One flush at a time calls the server: its stats counters are not
+        # atomic.  Re-entrant, so a recommend that submits into a full
+        # queue of an unstarted batcher can flush it inline.
+        self._serving = threading.RLock()
         self._queue: List[PendingRequest] = []
-        self._submits = 0               # idle detection (see _flusher_loop)
         self._closed = False
         self._crash: Optional[BaseException] = None
-        self._stop = threading.Event()
         self._flusher: Optional[threading.Thread] = None
         self.batches_flushed = 0
 
     def __len__(self) -> int:
         return len(self._queue)
 
-    def _deadline_passed(self) -> bool:
-        return (self.max_delay is not None
-                and self._oldest_enqueued is not None
-                and self._clock() - self._oldest_enqueued >= self.max_delay)
-
     def submit(self, user: int, k: Optional[int] = None) -> PendingRequest:
-        """Enqueue one request; auto-flushes when the batch is full.
+        """Enqueue one request and return its ticket.
 
-        With ``max_delay`` configured, a submit that finds the oldest queued
-        request past its deadline also flushes — so a timed-out partial
-        batch is served together with the request that discovered it.
-        Raises :class:`TypeError` for a non-integer ``user`` (nothing is
-        queued) and :class:`RuntimeError` once the batcher is closed.
+        On a started batcher this only appends and wakes the flusher.  On
+        one that is not started, the submit that fills a batch flushes it.
+        Raises :class:`TypeError` for a non-integer ``user`` or ``k``,
+        :class:`ValueError` for ``k < 1`` (nothing is queued either way)
+        and :class:`RuntimeError` once the batcher is closed.
         """
+        request = PendingRequest(user, k, self)
         with self._lock:
             if self._closed:
                 if self._crash is not None:
@@ -169,82 +151,72 @@ class RequestBatcher:
                         f"batcher closed: its flusher died with "
                         f"{self._crash!r}") from self._crash
                 raise RuntimeError("batcher is closed; no new submits")
-            request = PendingRequest(user, k, self)
-            if not self._queue:
-                self._oldest_enqueued = self._clock()
             self._queue.append(request)
-            self._submits += 1
-            if len(self._queue) >= self.max_batch_size or self._deadline_passed():
-                self.flush()
+            if self._flusher is not None:
+                self._lock.notify()
+                return request
+            full = len(self._queue) >= self.max_batch_size
+        if full:
+            self.flush()
         return request
 
-    def poll(self) -> List[Optional[Recommendation]]:
-        """Flush iff the oldest queued request has exceeded ``max_delay``.
-
-        Call periodically from a serving loop; returns the flushed
-        recommendations (empty when nothing was due).
-        """
-        with self._lock:
-            if self._deadline_passed():
-                return self.flush()
-            return []
-
     def flush(self) -> List[Optional[Recommendation]]:
-        """Serve every queued request in one batched call.
+        """Serve every queued request, in batches of ``max_batch_size``.
 
-        Every ticket of the flushed queue is resolved by the time this
-        returns: fulfilled, or — when its request raised — failed with the
-        original error attached (:meth:`PendingRequest.result` re-raises
-        it).  A poisoned batch (e.g. one out-of-range user id riding with
-        valid requests) degrades that ``k``-group to per-request serving so
-        only the offending requests fail; co-batched tickets are never
-        dropped.  Failed positions are ``None`` in the returned list.
+        The queue is swapped out under the queue lock and served outside
+        it, so requests submitted meanwhile wait for the next flush.  Every
+        ticket of the swapped queue is resolved by the time this returns:
+        fulfilled, or — when its request raised — failed with the original
+        error attached (:meth:`PendingRequest.result` re-raises it).  A
+        poisoned batch (e.g. one out-of-range user id riding with valid
+        requests) degrades that ``k``-group to per-request serving so only
+        the offending requests fail; co-batched tickets are never dropped.
+        Failed positions are ``None`` in the returned list.
         """
         with self._lock:
-            if not self._queue:
-                return []
             queue, self._queue = self._queue, []
-            self._oldest_enqueued = None
-            # Requests with an explicit k are grouped per k so each group is
-            # still a single vectorized call; the common case (default k) is
-            # one batch.
-            by_k = {}
-            for position, request in enumerate(queue):
-                by_k.setdefault(request.k, []).append(position)
-            results: List[Optional[Recommendation]] = [None] * len(queue)
-            for k, positions in by_k.items():
-                try:
-                    recommendations = self.server.recommend(
-                        [queue[p].user for p in positions], k=k
-                    )
-                except Exception:
-                    # The vectorized call is all-or-nothing: one bad request
-                    # in the group raised before *any* ticket was fulfilled.
-                    # Retry per request so valid co-batched traffic is still
-                    # served and only the offenders carry the error.
-                    for position in positions:
-                        try:
-                            recommendation = self.server.recommend(
-                                [queue[position].user], k=k)[0]
-                        except Exception as error:
-                            queue[position]._fail(error)
-                        else:
-                            queue[position]._fulfill(recommendation)
-                            results[position] = recommendation
-                    continue
-                for position, recommendation in zip(positions, recommendations):
-                    queue[position]._fulfill(recommendation)
-                    results[position] = recommendation
-            self.batches_flushed += 1
-            return results
+        if not queue:
+            return []
+        with self._serving:
+            for start in range(0, len(queue), self.max_batch_size):
+                self._serve(queue[start:start + self.max_batch_size])
+                self.batches_flushed += 1
+        # Wake callers only now: every ticket of a flush resolves together.
+        for request in queue:
+            request._resolved.set()
+        return [request._result for request in queue]
+
+    def _serve(self, batch: List[PendingRequest]) -> None:
+        """Serve one batch, recording each request's list or error on it."""
+        # Requests with an explicit k are grouped per k so each group is
+        # still a single vectorized call; the common case (default k) is
+        # one call.
+        by_k = {}
+        for request in batch:
+            by_k.setdefault(request.k, []).append(request)
+        for k, requests in by_k.items():
+            try:
+                served = self.server.recommend([r.user for r in requests], k=k)
+            except Exception:
+                # The vectorized call is all-or-nothing: one bad request in
+                # the group raised before *any* list was served.  Retry per
+                # request so valid co-batched traffic is still served and
+                # only the offenders carry the error.
+                for request in requests:
+                    try:
+                        request._result = self.server.recommend(
+                            [request.user], k=k)[0]
+                    except Exception as error:
+                        request._error = error
+                continue
+            for request, recommendation in zip(requests, served):
+                request._result = recommendation
 
     def start(self) -> "RequestBatcher":
         """Launch the background flusher thread (idempotent); returns self.
 
-        The flusher enforces ``max_delay`` without any further call, and
-        also flushes a queue that saw no submit for a whole tick — the
-        closed-loop case where every client is blocked on a ticket and
-        waiting out ``max_delay`` would only add latency.
+        The flusher sleeps until the queue is non-empty, then flushes it,
+        so it never holds a request back once it is free to serve it.
         """
         with self._lock:
             if self._flusher is None:
@@ -255,17 +227,14 @@ class RequestBatcher:
         return self
 
     def _flusher_loop(self) -> None:
-        tick = (self.max_delay / 4.0) if self.max_delay else 0.002
-        tick = min(0.05, max(0.0005, tick))
-        submits_at_last_tick = -1
         try:
-            while not self._stop.wait(tick):
+            while True:
                 with self._lock:
-                    if self._queue and submits_at_last_tick == self._submits:
-                        self.flush()
-                    else:
-                        self.poll()
-                    submits_at_last_tick = self._submits
+                    while not self._queue and not self._closed:
+                        self._lock.wait()
+                    if not self._queue:  # closed and drained
+                        return
+                self.flush()
         except Exception as error:
             # A dead flusher would strand every queued ticket until its
             # timeout; fail them now and refuse further work instead.
@@ -275,7 +244,6 @@ class RequestBatcher:
                 self._closed = True
                 self._crash = error
                 queue, self._queue = self._queue, []
-                self._oldest_enqueued = None
             for request in queue:
                 request._fail(error)
 
@@ -287,7 +255,7 @@ class RequestBatcher:
         """
         with self._lock:
             self._closed = True
-        self._stop.set()
+            self._lock.notify_all()
         if self._flusher is not None:
             self._flusher.join()
         self.flush()
@@ -302,16 +270,13 @@ class RequestBatcher:
 
 
 class ServingFrontend(RequestBatcher):
-    """A :class:`RequestBatcher` started at construction, ``max_delay`` 5 ms.
+    """``RequestBatcher(server, max_batch_size).start()``, by another name.
 
-    Equivalent to ``RequestBatcher(server, max_batch_size, max_delay,
-    clock).start()``; kept only for callers that still construct it by
-    name.
+    ``max_delay`` is accepted and ignored (a started batcher has no delay
+    to set); both remain only because ``bench/workloads.py`` passes it.
     """
 
     def __init__(self, server: ColdStartServer, max_batch_size: int = 256,
-                 max_delay: Optional[float] = 0.005,
-                 clock: Callable[[], float] = time.monotonic):
-        super().__init__(server, max_batch_size=max_batch_size,
-                         max_delay=max_delay, clock=clock)
+                 max_delay: Optional[float] = None):
+        super().__init__(server, max_batch_size=max_batch_size)
         self.start()

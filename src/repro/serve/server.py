@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -50,6 +50,25 @@ def _as_ids(values: Sequence[int], what: str) -> np.ndarray:
     return ids.astype(np.int64, copy=False)
 
 
+def _as_k(k: int, name: str = "k") -> int:
+    """``k`` as a list length >= 1; ``2.7`` or ``"3"`` raise TypeError."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {k!r}") from None
+    if k < 1:
+        raise ValueError(f"{name} must be >= 1, got {k}")
+    return k
+
+
+class _Snapshot(NamedTuple):
+    """What one checkpoint serves from; :meth:`ColdStartServer.refresh`
+    replaces it whole, so a request never mixes two checkpoints."""
+
+    index: TopKIndex
+    user_latents: np.ndarray
+
+
 @dataclass
 class Recommendation:
     """Top-K recommendation list for one user."""
@@ -69,9 +88,9 @@ class ServerStats:
     The contract (pinned by ``tests/test_serve.py``):
 
     * ``requests`` counts vectorized :meth:`ColdStartServer.recommend`
-      calls.  A :class:`~repro.serve.RequestBatcher` flush issues one such
-      call *per distinct* ``k`` in the flushed queue, so ``requests`` can
-      exceed ``batcher.batches_flushed`` for mixed-``k`` traffic.
+      calls.  A :class:`~repro.serve.RequestBatcher` batch issues one such
+      call *per distinct* ``k`` in it, so ``requests`` can exceed
+      ``batcher.batches_flushed`` for mixed-``k`` traffic.
     * ``users_served`` counts request slots (duplicates included).
     """
 
@@ -119,9 +138,7 @@ class ColdStartServer:
         self.model = model
         self.source = source
         self.target = target
-        self.top_k = operator.index(top_k)
-        if self.top_k < 1:
-            raise ValueError(f"top_k must be >= 1, got {top_k}")
+        self.top_k = _as_k(top_k, "top_k")
         self.exclude_seen = bool(exclude_seen)
         if index is not None:
             expected = model._domain_parts(target)[3].num_items
@@ -143,29 +160,33 @@ class ColdStartServer:
                     f"prebuilt index was built from different item latents "
                     f"than this model encodes for domain {target!r}; "
                     f"rebuild the index from this checkpoint")
-            self.index = index
             self._index_backend = index.backend
             self._index_options = index.build_options()
         else:
             self._index_backend = index_backend
             self._index_options = dict(index_options or {})
-            self.index = build_index(model, target, backend=index_backend,
-                                     **self._index_options)
-        self._user_latents = self._encode_users()
+            index = build_index(model, target, backend=index_backend,
+                                **self._index_options)
+        self._snapshot = _Snapshot(index, self._encode_users(index))
         self.stats = ServerStats()
         self._source_graph = model._domain_parts(source)[3]
 
     # ------------------------------------------------------------------ #
     # Latent management
     # ------------------------------------------------------------------ #
-    def _encode_users(self) -> np.ndarray:
-        """Every source user's latent, in the index's dtype, read-only."""
+    def _encode_users(self, index: TopKIndex) -> np.ndarray:
+        """Every source user's latent, in ``index``'s dtype, read-only."""
         # Follow the index's floating dtype: a float32 checkpoint must serve
         # float32 end-to-end (float64 here would double the table's memory).
         table = np.asarray(self.model.encode_users_batch(self.source),
-                           dtype=self.index.item_latents.dtype)
+                           dtype=index.item_latents.dtype)
         table.setflags(write=False)
         return table
+
+    @property
+    def index(self) -> TopKIndex:
+        """The item index of the checkpoint currently served."""
+        return self._snapshot.index
 
     def user_latents(self, users: Sequence[int]) -> np.ndarray:
         """Latents for ``users``: rows of the per-checkpoint table (a copy).
@@ -173,14 +194,17 @@ class ColdStartServer:
         Raises :class:`TypeError` for non-integer ids and
         :class:`ValueError` for ids outside the source domain.
         """
+        return self._gather(self._snapshot.user_latents, users)
+
+    def _gather(self, table: np.ndarray, users: Sequence[int]) -> np.ndarray:
         users = _as_ids(users, "user")
-        num_users = self._user_latents.shape[0]
+        num_users = table.shape[0]
         if users.size and (users.min() < 0 or users.max() >= num_users):
             raise ValueError(
                 f"user index out of range for source domain {self.source!r} "
                 f"(num_users={num_users})"
             )
-        return self._user_latents[users]
+        return table[users]
 
     def refresh(self) -> None:
         """Rebuild the item index and the user-latent table.
@@ -189,25 +213,31 @@ class ColdStartServer:
         epochs in an online-learning loop).  The rebuilt index keeps the
         server's retrieval backend and build options — an IVF server stays
         an IVF server (its quantizer is re-trained on the fresh latents).
+        Both are built to one side and swapped in with one assignment, so
+        requests served meanwhile use the previous checkpoint throughout.
         """
-        self.index = build_index(self.model, self.target,
-                                 backend=self._index_backend,
-                                 **self._index_options)
-        self._user_latents = self._encode_users()
+        index = build_index(self.model, self.target,
+                            backend=self._index_backend, **self._index_options)
+        self._snapshot = _Snapshot(index, self._encode_users(index))
 
     # ------------------------------------------------------------------ #
     # Serving
     # ------------------------------------------------------------------ #
     def recommend(self, users: Sequence[int],
                   k: Optional[int] = None) -> List[Recommendation]:
-        """Top-K recommendations for a batch of source-domain users."""
+        """Top-K recommendations for a batch of source-domain users.
+
+        ``k`` defaults to ``top_k``; a non-integer ``k`` raises
+        :class:`TypeError` and ``k < 1`` :class:`ValueError`.
+        """
         users = _as_ids(users, "user")
-        k = self.top_k if k is None else int(k)
-        latents = self.user_latents(users)
+        k = self.top_k if k is None else _as_k(k)
+        snapshot = self._snapshot  # read once: refresh() may swap it
+        latents = self._gather(snapshot.user_latents, users)
         exclude = None
         if self.exclude_seen and self.source == self.target:
             exclude = [self._source_graph.items_of_user(int(u)) for u in users]
-        items, scores = self.index.top_k(latents, k, exclude=exclude)
+        items, scores = snapshot.index.top_k(latents, k, exclude=exclude)
         self.stats.requests += 1
         self.stats.users_served += int(users.shape[0])
         recommendations = []
@@ -234,17 +264,19 @@ class ColdStartServer:
         non-integer id raises :class:`TypeError` instead of being truncated.
         """
         items = _as_ids(items, "item")
-        if items.size and (items.min() < 0 or items.max() >= self.index.num_items):
+        snapshot = self._snapshot  # read once: refresh() may swap it
+        num_items = snapshot.index.num_items
+        if items.size and (items.min() < 0 or items.max() >= num_items):
             raise ValueError(
                 f"item index out of range for target domain {self.target!r} "
-                f"(num_items={self.index.num_items}); got values in "
+                f"(num_items={num_items}); got values in "
                 f"[{items.min()}, {items.max()}] — is a -1 padding sentinel "
                 f"leaking into score_pairs?")
-        latents = self.user_latents(users)
-        return np.sum(latents * self.index.item_latents[items], axis=-1)
+        latents = self._gather(snapshot.user_latents, users)
+        return np.sum(latents * snapshot.index.item_latents[items], axis=-1)
 
     def __repr__(self) -> str:
         return (f"ColdStartServer({self.source}->{self.target}, "
-                f"users={self._user_latents.shape[0]}, "
+                f"users={self._snapshot.user_latents.shape[0]}, "
                 f"items={self.index.num_items}, top_k={self.top_k}, "
                 f"index={self._index_backend!r})")

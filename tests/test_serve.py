@@ -549,6 +549,62 @@ class TestColdStartServer:
         assert server.user_latents([]).shape == (0, server.index.dim)
         assert server.score_pairs([], []).shape == (0,)
 
+    def test_refresh_swaps_index_and_user_table_at_once(self, trained_model,
+                                                        small_scenario):
+        """A request served while ``refresh()`` runs sees one checkpoint.
+
+        ``refresh()`` used to install the new index before encoding the new
+        user table, so a request in between ranked the old user latents
+        against the new items: a list that neither checkpoint serves."""
+        source = small_scenario.domain_x.name
+        target = small_scenario.domain_y.name
+        users = np.arange(small_scenario.domain_x.num_users)
+        server = ColdStartServer(trained_model, source, target, top_k=10)
+
+        def reference():
+            user_latents = trained_model.encode_users_batch(source)
+            item_latents = trained_model.encode_items(target)
+            return [item_latents @ user_latents[u] for u in users]
+
+        def assert_served(recommendations, scores_per_user):
+            assert len(recommendations) == len(users)
+            for rec, scores in zip(recommendations, scores_per_user):
+                assert_rankings_equivalent(
+                    rec.items, brute_force_ranking(scores)[:10], scores)
+
+        old = reference()
+        during = []
+        encode = trained_model.encode_users_batch
+
+        def encode_while_serving(domain):
+            during.extend(server.recommend(users))
+            return encode(domain)
+
+        state = trained_model.state_dict()
+        try:
+            trained_model.load_state_dict({k: v + 0.05 for k, v in state.items()})
+            new = reference()
+            trained_model.encode_users_batch = encode_while_serving
+            server.refresh()
+        finally:
+            vars(trained_model).pop("encode_users_batch", None)
+            trained_model.load_state_dict(state)
+            trained_model.refresh_eval_cache()
+        assert any(not np.array_equal(brute_force_ranking(a)[:10],
+                                      brute_force_ranking(b)[:10])
+                   for a, b in zip(old, new))
+        assert_served(during, old)
+        assert_served(server.recommend(users), new)
+
+    @pytest.mark.parametrize("k, error", [(2.7, TypeError), ("3", TypeError),
+                                          (0, ValueError)])
+    def test_bad_k_rejected(self, server, k, error):
+        """``recommend([1], k=2.7)`` used to serve 2 items, and ``k="3"``
+        or ``k=0`` failed only inside the index."""
+        with pytest.raises(error, match="k"):
+            server.recommend([1], k=k)
+        assert len(server.recommend([1], k=np.int64(3))[0]) == 3
+
     @pytest.mark.parametrize("top_k", [0, -3])
     def test_nonpositive_top_k_rejected(self, trained_model, small_scenario,
                                         top_k):
@@ -704,6 +760,19 @@ class TestRequestBatcher:
         batcher.flush()
         assert ticket.result().user == 2
 
+    @pytest.mark.parametrize("k, error", [(2.9, TypeError), ("3", TypeError),
+                                          (0, ValueError)])
+    def test_bad_k_rejected_at_submit(self, server, k, error):
+        """``submit(1, k=2.9)`` used to serve 2 items, and ``k=0`` was
+        queued and failed only when its batch was flushed."""
+        batcher = RequestBatcher(server, max_batch_size=100)
+        with pytest.raises(error):
+            batcher.submit(1, k=k)
+        assert len(batcher) == 0
+        ticket = batcher.submit(1, k=np.int64(3))
+        batcher.flush()
+        assert len(ticket.result()) == 3
+
 
 class TestRequestBatcherPoisonedBatch:
     """Batch-poisoning regression: one bad request used to raise out of
@@ -759,19 +828,6 @@ class TestRequestBatcherPoisonedBatch:
             ticket.result()
 
 
-class _FakeClock:
-    """Deterministic monotonic clock for timeout tests (no sleeping)."""
-
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
-
-
 class TestRequestBatcherFlushEdgeCases:
     """Flush paths left untested by the initial serving PR."""
 
@@ -780,49 +836,6 @@ class TestRequestBatcherFlushEdgeCases:
         assert batcher.flush() == []
         assert batcher.batches_flushed == 0
         assert len(batcher) == 0
-
-    def test_poll_without_deadline_never_flushes(self, server):
-        batcher = RequestBatcher(server, max_batch_size=8)
-        batcher.submit(0)
-        assert batcher.poll() == []
-        assert len(batcher) == 1
-
-    def test_timeout_flushes_partial_batch_on_submit(self, server):
-        clock = _FakeClock()
-        batcher = RequestBatcher(server, max_batch_size=100, max_delay=0.5,
-                                 clock=clock)
-        first = batcher.submit(0)
-        clock.advance(0.6)  # oldest request is now past its deadline
-        second = batcher.submit(1)
-        assert first.done and second.done
-        assert batcher.batches_flushed == 1
-        assert len(batcher) == 0
-
-    def test_timeout_flushes_partial_batch_on_poll(self, server):
-        clock = _FakeClock()
-        batcher = RequestBatcher(server, max_batch_size=100, max_delay=1.0,
-                                 clock=clock)
-        ticket = batcher.submit(3)
-        clock.advance(0.5)
-        assert batcher.poll() == []            # not due yet
-        assert not ticket.done
-        clock.advance(0.5)
-        results = batcher.poll()               # exactly at the deadline
-        assert len(results) == 1 and ticket.done
-
-    def test_timeout_clock_resets_after_flush(self, server):
-        clock = _FakeClock()
-        batcher = RequestBatcher(server, max_batch_size=100, max_delay=1.0,
-                                 clock=clock)
-        batcher.submit(0)
-        clock.advance(2.0)
-        batcher.poll()
-        # A fresh request must get a fresh deadline, not the stale stamp.
-        ticket = batcher.submit(1)
-        assert batcher.poll() == []
-        assert not ticket.done
-        clock.advance(1.0)
-        assert len(batcher.poll()) == 1
 
     def test_requests_arriving_during_flush_join_next_batch(self, server):
         """A submit issued while a flush is serving must not be lost, must
@@ -853,21 +866,6 @@ class TestRequestBatcherFlushEdgeCases:
         assert late.done
         assert np.array_equal(late.result().items,
                               server.recommend([5])[0].items)
-
-    @pytest.mark.parametrize("max_delay", [-0.1, float("nan")])
-    def test_negative_max_delay_rejected(self, server, max_delay):
-        # NaN compares False with everything, so a deadline check against
-        # it would never fire.
-        with pytest.raises(ValueError):
-            RequestBatcher(server, max_delay=max_delay)
-
-    def test_zero_max_delay_flushes_every_submit(self, server):
-        clock = _FakeClock()
-        batcher = RequestBatcher(server, max_batch_size=100, max_delay=0.0,
-                                 clock=clock)
-        ticket = batcher.submit(2)
-        assert ticket.done
-        assert batcher.batches_flushed == 1
 
 
 class TestServerStatsContract:

@@ -69,8 +69,7 @@ class TestTicketLifecycle:
     def test_close_drains_queue_and_refuses_new_submits(
             self, trained_model, small_scenario):
         server = make_server(trained_model, small_scenario)
-        batcher = RequestBatcher(server, max_batch_size=100,
-                                 max_delay=0.005).start()
+        batcher = RequestBatcher(server, max_batch_size=100).start()
         ticket = batcher.submit(3)
         batcher.close()
         assert ticket.done                  # drained, not stranded
@@ -81,8 +80,7 @@ class TestTicketLifecycle:
 
     def test_context_manager_closes(self, trained_model, small_scenario):
         server = make_server(trained_model, small_scenario)
-        with RequestBatcher(server, max_batch_size=100,
-                            max_delay=0.005).start() as batcher:
+        with RequestBatcher(server, max_batch_size=100).start() as batcher:
             ticket = batcher.submit(2)
         assert ticket.done
         with pytest.raises(RuntimeError):
@@ -103,27 +101,84 @@ class TestTicketLifecycle:
 
 
 class TestBackgroundFlusher:
-    def test_max_delay_flushes_without_any_further_call(
-            self, trained_model, small_scenario):
+    def test_lone_request_served_without_flush(self, trained_model,
+                                               small_scenario):
         server = make_server(trained_model, small_scenario)
-        with RequestBatcher(server, max_batch_size=100,
-                            max_delay=0.01).start() as batcher:
+        with RequestBatcher(server, max_batch_size=100).start() as batcher:
             ticket = batcher.submit(1)
             # No explicit flush, no further submit: only the background
-            # flusher can resolve this.
+            # flusher can resolve this, and it does not wait for company.
             result = ticket.result(timeout=5.0)
         assert result.user == 1
 
-    def test_idle_queue_flushes_before_max_delay(self, trained_model,
-                                                 small_scenario):
-        # With a long max_delay the deadline alone cannot explain a flush
-        # within the test timeout; the idle check must kick in.
+    def test_batches_grow_under_saturation(self, trained_model,
+                                           small_scenario):
+        """Requests that arrive while the flusher serves pile up and leave
+        together, in batches of at most ``max_batch_size``."""
         server = make_server(trained_model, small_scenario)
-        with RequestBatcher(server, max_batch_size=100,
-                            max_delay=30.0).start() as batcher:
-            ticket = batcher.submit(2)
-            result = ticket.result(timeout=5.0)
-        assert result.user == 2
+        reference = make_server(trained_model, small_scenario)
+        sizes = []
+        recommend = server.recommend
+
+        def slow_recommend(users, k=None):
+            sizes.append(len(users))
+            time.sleep(0.02)
+            return recommend(users, k=k)
+
+        server.recommend = slow_recommend
+        num_users = small_scenario.domain_x.graph.num_users
+        traffic = np.random.default_rng(3).integers(0, num_users, size=64)
+        with RequestBatcher(server, max_batch_size=8).start() as batcher:
+            def drive(users):
+                return [batcher.submit(int(u)) for u in users]
+
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                tickets = [ticket for chunk in
+                           pool.map(drive, np.array_split(traffic, 4))
+                           for ticket in chunk]
+            served = [ticket.result(timeout=30.0) for ticket in tickets]
+        assert batcher.batches_flushed == len(sizes) < len(traffic)
+        assert max(sizes) <= 8 and sum(sizes) == len(traffic)
+        for ticket, rec in zip(tickets, served):
+            expected = reference.recommend([ticket.user])[0]
+            assert rec.user == ticket.user
+            assert np.array_equal(rec.items, expected.items)
+
+    @pytest.mark.parametrize("started", [False, True])
+    def test_reentrant_submit_that_fills_the_batch(self, trained_model,
+                                                   small_scenario, started):
+        """A submit from inside ``recommend`` that fills a batch neither
+        deadlocks nor strands a ticket."""
+        server = make_server(trained_model, small_scenario)
+        batcher = RequestBatcher(server, max_batch_size=2)
+        inner = []
+        recommend = server.recommend
+
+        def submitting_recommend(users, k=None):
+            if not inner:
+                inner.extend(batcher.submit(user) for user in (5, 6))
+            return recommend(users, k=k)
+
+        server.recommend = submitting_recommend
+        if started:
+            batcher.start()
+        outer = []
+        driver = threading.Thread(
+            target=lambda: outer.extend(batcher.submit(u) for u in (1, 2)),
+            daemon=True)
+        driver.start()
+        driver.join(timeout=10.0)
+        assert not driver.is_alive()
+        try:
+            # The outer tickets resolve only after the recommend that
+            # queued the inner ones has returned.
+            served = [ticket.result(timeout=10.0) for ticket in outer]
+            served += [ticket.result(timeout=10.0) for ticket in inner]
+        finally:
+            batcher.close()
+        assert [rec.user for rec in served] == [1, 2, 5, 6]
+        for rec in served:
+            assert np.array_equal(rec.items, recommend([rec.user])[0].items)
 
     def test_serving_frontend_is_a_started_batcher(self, trained_model,
                                                    small_scenario):
@@ -150,7 +205,7 @@ class TestBackgroundFlusher:
 
         server = make_server(trained_model, small_scenario)
         before = flushers()
-        batcher = RequestBatcher(server, max_batch_size=100, max_delay=0.005)
+        batcher = RequestBatcher(server, max_batch_size=100)
         try:
             assert batcher.start() is batcher
             assert batcher.start() is batcher
@@ -162,25 +217,28 @@ class TestBackgroundFlusher:
 
     def test_flusher_crash_fails_queued_tickets_and_refuses_submits(
             self, trained_model, small_scenario, caplog):
-        class ClockFault(Exception):
+        class FlushFault(Exception):
             pass
 
         submitter = threading.get_ident()
-
-        def clock():
-            # Only the flusher thread sees the fault, so submit() works and
-            # the error can surface nowhere but in the flusher's tick.
-            if threading.get_ident() != submitter:
-                raise ClockFault("clock failed on the flusher thread")
-            return time.monotonic()
-
         server = make_server(trained_model, small_scenario)
-        batcher = RequestBatcher(server, max_batch_size=100, max_delay=30.0,
-                                 clock=clock).start()
+        batcher = RequestBatcher(server, max_batch_size=100)
+        flush = batcher.flush
+
+        def faulty_flush():
+            # Only the flusher thread sees the fault, so submit() and the
+            # final close() work and the error can surface nowhere but in
+            # the flusher.
+            if threading.get_ident() != submitter:
+                raise FlushFault("flush failed on the flusher thread")
+            return flush()
+
+        batcher.flush = faulty_flush
+        batcher.start()
         try:
             ticket = batcher.submit(1)
             begin = time.monotonic()
-            with pytest.raises(ClockFault):
+            with pytest.raises(FlushFault):
                 ticket.result(timeout=1.0)
             assert time.monotonic() - begin < 0.5
             with pytest.raises(RuntimeError, match="flusher died"):
@@ -206,8 +264,8 @@ class TestConcurrentBitIdentity:
         concurrent_server = make_server(trained_model, small_scenario)
         reference_server = make_server(trained_model, small_scenario)
 
-        with RequestBatcher(concurrent_server, max_batch_size=8,
-                            max_delay=0.005).start() as batcher:
+        with RequestBatcher(concurrent_server,
+                            max_batch_size=8).start() as batcher:
             def drive(user):
                 return batcher.submit(int(user)).result(timeout=30.0)
 
@@ -228,8 +286,8 @@ class TestConcurrentBitIdentity:
         concurrent_server = make_server(trained_model, small_scenario)
         reference_server = make_server(trained_model, small_scenario)
 
-        with RequestBatcher(concurrent_server, max_batch_size=8,
-                            max_delay=0.005).start() as batcher:
+        with RequestBatcher(concurrent_server,
+                            max_batch_size=8).start() as batcher:
             def drive(pair):
                 user, k = pair
                 return batcher.submit(int(user), k=k).result(timeout=30.0)
@@ -261,8 +319,7 @@ class TestConcurrentBitIdentity:
         switch_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with RequestBatcher(server, max_batch_size=16,
-                                max_delay=0.002).start() as batcher:
+            with RequestBatcher(server, max_batch_size=16).start() as batcher:
                 with ThreadPoolExecutor(max_workers=8) as pool:
                     list(pool.map(
                         lambda u: batcher.submit(int(u)).result(timeout=30.0),
