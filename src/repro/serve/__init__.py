@@ -7,7 +7,7 @@ into a batched serving subsystem:
 * :class:`TopKIndex` — the retrieval protocol every backend implements.
 * :class:`ItemIndex` — the ``"exact"`` backend: target-domain item latents,
   precomputed once per checkpoint, with exact-tie top-K retrieval via one
-  batched block-max selection.
+  tiled block-max selection over the catalogue.
 * :class:`IVFIndex` — the ``"ivf"`` backend: inverted-file approximate
   retrieval (k-means coarse quantizer, cluster-major storage,
   ``nprobe``-controlled probing, exact re-ranking of candidates) for

@@ -1,10 +1,10 @@
 """Approximate million-item top-K retrieval: the IVF index and the backend registry.
 
 Brute-force serving (:class:`~repro.serve.ItemIndex`) scores every request
-against the *whole* catalogue — an O(V·F) matmul plus an O(V) block-max
-selection per user.  That is exact and simple, but it caps throughput once
-catalogues reach production scale.  This module adds the classic inverted-file (IVF)
-alternative:
+against the *whole* catalogue — O(V·F) matmuls plus an O(V) block-max
+selection per user, one cache-sized catalogue tile at a time.  That is
+exact and simple, but it caps throughput once catalogues reach production
+scale.  This module adds the classic inverted-file (IVF) alternative:
 
 1. **Coarse quantizer** — a pure-numpy k-means (deterministic under a fixed
    seed) clusters the item latents into ``num_clusters`` cells.
@@ -40,12 +40,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .item_index import (ItemIndex, TopKIndex, prepare_exclude,
-                         prepare_item_latents)
+from .item_index import (ItemIndex, TopKIndex, _as_k, _as_queries,
+                         prepare_exclude, prepare_item_latents)
 
-#: Rows per chunk when assigning a large catalogue to centroids; bounds the
-#: transient (chunk × num_clusters) score matrix to a few hundred MB.
-_ASSIGN_CHUNK = 8192
+#: Rows per chunk when assigning a catalogue to centroids: the reused
+#: (chunk × num_clusters) score buffer stays a few MB, small enough to be in
+#: cache when the argmax reads it back.
+_ASSIGN_CHUNK = 1024
 
 #: Checkpoint ``kind`` tag used by :func:`save_index` / :func:`load_index`.
 INDEX_CHECKPOINT_KIND = "topk-index"
@@ -63,10 +64,14 @@ def _assign_to_centroids(points: np.ndarray, centroids: np.ndarray) -> np.ndarra
     """
     half_norms = 0.5 * np.einsum("cf,cf->c", centroids, centroids)
     out = np.empty(points.shape[0], dtype=np.int64)
+    buffer = np.empty((min(_ASSIGN_CHUNK, points.shape[0]),
+                       centroids.shape[0]), dtype=np.float64)
     for start in range(0, points.shape[0], _ASSIGN_CHUNK):
         block = points[start:start + _ASSIGN_CHUNK]
-        out[start:start + _ASSIGN_CHUNK] = np.argmax(
-            block @ centroids.T - half_norms, axis=1)
+        scores = buffer[:block.shape[0]]
+        np.matmul(block, centroids.T, out=scores)
+        scores -= half_norms
+        out[start:start + _ASSIGN_CHUNK] = np.argmax(scores, axis=1)
     return out
 
 
@@ -225,10 +230,7 @@ class IVFIndex:
         scorer (used by ``ColdStartServer.score_pairs`` and the evaluation
         bridge) stays available on the approximate backend.
         """
-        user_latents = np.asarray(user_latents)
-        if not np.issubdtype(user_latents.dtype, np.floating):
-            user_latents = user_latents.astype(np.float64)
-        return np.atleast_2d(user_latents) @ self.item_latents.T
+        return _as_queries(user_latents) @ self.item_latents.T
 
     def top_k(self, user_latents: np.ndarray, k: int,
               exclude: Optional[list] = None) -> Tuple[np.ndarray, np.ndarray]:
@@ -241,16 +243,12 @@ class IVFIndex:
         returned.  Scores of surfaced items are computed from the same latent
         rows with the same inner product as brute force, so an item found by
         both backends carries the same score in both up to BLAS kernel
-        selection (per-cell GEMV here vs. one batched GEMM there — last-ulp
+        selection (per-cell GEMV here vs. tiled batched GEMMs there — last-ulp
         rounding, the same caveat as the repo's other cross-path score
         comparisons).
         """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        queries = np.asarray(user_latents)
-        if not np.issubdtype(queries.dtype, np.floating):
-            queries = queries.astype(np.float64)
-        queries = np.atleast_2d(queries)
+        k = _as_k(k)
+        queries = _as_queries(user_latents)
         # Same NaN contract as ItemIndex.top_k: a NaN query poisons every
         # coarse and candidate score, and argpartition/lexsort misorder NaNs
         # silently, so refuse up front (the query matrix is tiny).

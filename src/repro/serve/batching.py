@@ -29,7 +29,8 @@ import operator
 import threading
 from typing import List, Optional
 
-from .server import ColdStartServer, Recommendation, _as_k
+from .item_index import _as_k
+from .server import ColdStartServer, Recommendation
 
 _log = logging.getLogger(__name__)
 

@@ -13,7 +13,7 @@ latent is too, and the set of users is closed.  The server therefore encodes
 it then
 
 1. gathers the users' rows from that read-only latent table,
-2. returns top-K items per user from one batched block-max selection
+2. returns top-K items per user from one tiled block-max selection
    against the item index.
 
 Served user latents are bit-identical to the eval cache
@@ -25,7 +25,6 @@ including score ties.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence
 
@@ -33,32 +32,7 @@ import numpy as np
 
 from ..core.cdrib import CDRIB
 from .ann import build_index
-from .item_index import TopKIndex
-
-
-def _as_ids(values: Sequence[int], what: str) -> np.ndarray:
-    """``values`` as an int64 index array; non-integer ids raise TypeError.
-
-    Casting with ``np.asarray(values, dtype=np.int64)`` would truncate a
-    ``1.9`` to ``1`` and serve the wrong row, so only integer dtypes pass.
-    An empty sequence passes whatever its dtype (``np.asarray([])`` is
-    float64).
-    """
-    ids = np.asarray(values)
-    if ids.size and not np.issubdtype(ids.dtype, np.integer):
-        raise TypeError(f"{what} ids must be integers, got dtype {ids.dtype}")
-    return ids.astype(np.int64, copy=False)
-
-
-def _as_k(k: int, name: str = "k") -> int:
-    """``k`` as a list length >= 1; ``2.7`` or ``"3"`` raise TypeError."""
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {k!r}") from None
-    if k < 1:
-        raise ValueError(f"{name} must be >= 1, got {k}")
-    return k
+from .item_index import TopKIndex, _as_ids, _as_k
 
 
 class _Snapshot(NamedTuple):

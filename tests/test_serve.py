@@ -10,6 +10,7 @@ from repro.serve import (
     RequestBatcher,
     brute_force_ranking,
 )
+from repro.serve import item_index
 
 
 def assert_rankings_equivalent(items_a, items_b, scores):
@@ -169,8 +170,8 @@ class TestBatchedSelection:
         users = rng.integers(-2, 3, (batch, 3)).astype(dtype)
         width = max(1, int(np.sqrt(num_items)))
         num_blocks = -(-num_items // width)
-        # k = 5 exceeds the 1- and 3-item catalogues; num_blocks and beyond
-        # leave no block-max threshold to cut with.
+        # k = 5 exceeds the 1- and 3-item catalogues; beyond num_blocks
+        # there is no block-max threshold, and the k-th best entry cuts.
         for k in sorted({1, 2, 5, num_blocks, num_blocks + 1, num_items}):
             self._check(index, users, k)
 
@@ -193,6 +194,96 @@ class TestBatchedSelection:
         items, scores = ItemIndex(np.ones((10, 3))).top_k(
             np.ones((0, 3)), 3, exclude=exclude)
         assert items.shape == scores.shape == (0, 3)
+
+    def test_empty_catalogue(self):
+        index = ItemIndex(np.ones((0, 3)))
+        items, scores = index.top_k(np.ones((2, 3)), 3)
+        assert items.shape == scores.shape == index.scores(
+            np.ones((2, 3))).shape == (2, 0)
+
+
+class TestTiledSelection(TestBatchedSelection):
+    """The same brute-force pins with the tile budget shrunk so that every
+    catalogue spans several tiles: one block per tile (budget 1), or a few
+    blocks per tile with the tail block joining the last one."""
+
+    @pytest.fixture(autouse=True, params=[1, 256])
+    def small_tiles(self, request, monkeypatch):
+        monkeypatch.setattr(item_index, "_TILE_BYTES", request.param)
+
+    def test_catalogues_span_several_tiles(self):
+        index = ItemIndex(np.ones((26, 3)))
+        tiles = [(lo, hi) for lo, hi, _ in index._score_tiles(np.ones((5, 3)))]
+        # Blocks of width 5 plus the one-item tail block, which the last
+        # tile takes.
+        assert len(tiles) > 1
+        assert tiles[0][0] == 0 and tiles[-1][1] == 26
+        assert all(a[1] == b[0] for a, b in zip(tiles, tiles[1:]))
+        assert all(lo % 5 == 0 for lo, _ in tiles)
+        assert tiles[-1][1] - tiles[-1][0] > 5
+
+    def test_nan_only_in_last_tile_rejected(self):
+        latents = np.ones((26, 2))
+        latents[25, 0] = np.nan  # the tail block, scanned last
+        with pytest.raises(ValueError, match="NaN"):
+            ItemIndex(latents).top_k(np.ones((3, 2)), k=2)
+
+    def test_nan_at_excluded_item_of_later_tile_rejected(self):
+        latents = np.ones((26, 2))
+        latents[17, 1] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            ItemIndex(latents).top_k(np.ones((2, 2)), k=2,
+                                     exclude=[[], [17]])
+
+
+class TestTiledScores:
+    """``scores`` tiles exactly like ``top_k``: served scores are its
+    entries bit for bit, and no call hands out the reused tile buffer."""
+
+    @pytest.mark.parametrize("budget", [64 * 8 * 71 * 3, 64 * 8 * 71 * 40,
+                                        item_index._TILE_BYTES],
+                             ids=["3-blocks", "40-blocks", "default"])
+    def test_served_scores_are_entries_of_scores(self, budget, monkeypatch):
+        monkeypatch.setattr(item_index, "_TILE_BYTES", budget)
+        rng = np.random.default_rng(7)
+        index = ItemIndex(rng.standard_normal((5050, 24)))  # blocks of 71
+        users = rng.standard_normal((64, 24))
+        if budget < item_index._TILE_BYTES:
+            assert len(list(index._score_tiles(users))) > 1
+        items, scores = index.top_k(users, 20)
+        full = index.scores(users)
+        assert np.array_equal(scores, np.take_along_axis(full, items, 1))
+        for row in range(0, 64, 9):
+            assert np.array_equal(items[row],
+                                  brute_force_ranking(full[row])[:20])
+
+    def test_scores_are_independent_and_correct(self, monkeypatch):
+        monkeypatch.setattr(item_index, "_TILE_BYTES", 4 * 8 * 30 * 2)
+        rng = np.random.default_rng(8)
+        latents = rng.standard_normal((900, 6))  # blocks of 30
+        index = ItemIndex(latents)
+        users = rng.standard_normal((4, 6))
+        first, second = index.scores(users), index.scores(users)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, second)
+        np.testing.assert_allclose(first, users @ latents.T, rtol=1e-12)
+        first[:] = 0.0
+        np.testing.assert_allclose(second, users @ latents.T, rtol=1e-12)
+
+    def test_top_k_peak_memory_is_a_fraction_of_the_score_matrix(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(9)
+        index = ItemIndex(rng.standard_normal((100_000, 64)))
+        users = rng.standard_normal((64, 64))
+        full_matrix_bytes = 64 * 100_000 * 8
+        tracemalloc.start()
+        try:
+            index.top_k(users, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < full_matrix_bytes / 2, peak
 
 
 class TestExcludeValidation:
@@ -224,10 +315,39 @@ class TestExcludeValidation:
         def no_scoring(_):
             raise AssertionError("scored before validating exclude")
 
-        monkeypatch.setattr(index, "scores", no_scoring)
+        monkeypatch.setattr(index, "_score_tiles", no_scoring)
         for exclude in ([[-1]], [[0], [1]]):
             with pytest.raises(ValueError, match="exclude"):
                 index.top_k(np.ones((1, 2)), 2, exclude=exclude)
+        with pytest.raises(TypeError, match="exclude"):
+            index.top_k(np.ones((1, 2)), 2, exclude=[[1.0]])
+
+    @pytest.mark.parametrize("exclude", [[[1.9]], [["1"]], [[0, 1.0]],
+                                         [[True]]])
+    def test_non_integer_exclude_raises(self, index, exclude):
+        # The int64 cast used to truncate 1.9 (and parse "1") to item 1,
+        # silently dropping it from the list.
+        with pytest.raises(TypeError, match="exclude"):
+            index.top_k(np.ones((1, 2)), 3, exclude=exclude)
+
+    def test_integer_exclude_of_any_kind_accepted(self, index):
+        for exclude in ([np.array([1], dtype=np.int32)], [(np.int64(1),)],
+                        [{1}]):
+            items, _ = index.top_k(np.ones((1, 2)), 4, exclude=exclude)
+            assert 1 not in items[0].tolist()
+
+    @pytest.mark.parametrize("k, error", [(2.5, TypeError), ("3", TypeError),
+                                          (0, ValueError), (-1, ValueError)])
+    def test_bad_k_raises(self, index, k, error):
+        # 2.5 used to fail inside numpy ("Partition index must be integer")
+        # on exact and with "'float' object cannot be interpreted as an
+        # integer" on IVF.
+        with pytest.raises(error, match="k must be"):
+            index.top_k(np.ones((1, 2)), k)
+
+    def test_numpy_integer_k_accepted(self, index):
+        items, _ = index.top_k(np.ones((1, 2)), np.int32(3))
+        assert items.shape == (1, 3)
 
 
 class TestItemIndexDtype:
