@@ -362,17 +362,22 @@ class CDRIB(Module):
                           source_users: np.ndarray, target_items: np.ndarray) -> np.ndarray:
         """Score (source-domain user, target-domain item) pairs.
 
-        Both index arrays must have equal length; the returned array contains
-        the inner-product scores used for ranking (monotone in the sigmoid
-        probability, so the ranking metrics are unaffected by skipping the
-        sigmoid).
+        Both index arrays must have equal length (else :class:`ValueError`:
+        pairs never broadcast); the returned array contains the inner-product
+        scores used for ranking (monotone in the sigmoid probability, so the
+        ranking metrics are unaffected by skipping the sigmoid).
         """
+        source_users, target_items = np.asarray(source_users), np.asarray(target_items)
+        if source_users.shape != target_items.shape:
+            raise ValueError(
+                f"source_users and target_items must pair up, got shapes "
+                f"{source_users.shape} and {target_items.shape}")
         if self._eval_cache is None:
             self.refresh_eval_cache()
         source_latents = self._eval_cache[source]
         target_latents = self._eval_cache[target]
-        user_repr = source_latents.users.deterministic().data[np.asarray(source_users)]
-        item_repr = target_latents.items.deterministic().data[np.asarray(target_items)]
+        user_repr = source_latents.users.deterministic().data[source_users]
+        item_repr = target_latents.items.deterministic().data[target_items]
         return np.sum(user_repr * item_repr, axis=-1)
 
     def in_domain_scores(self, domain: str, users: np.ndarray, items: np.ndarray) -> np.ndarray:

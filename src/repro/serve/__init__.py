@@ -15,8 +15,9 @@ into a batched serving subsystem:
 * :class:`ColdStartServer` — one read-only user-latent table per checkpoint
   (a single full-graph no-grad VBGE pass), so serving a batch is a row
   gather plus top-K against a pluggable index
-  (``index_backend="exact" | "ivf"``).
-* :class:`RequestBatcher` — thread-safe micro-batching queue for streaming
+  (``index_backend="exact" | "ivf"``).  It keeps no per-request state, so
+  ``recommend`` is a function of (snapshot, users, k), safe on any thread.
+* :class:`RequestBatcher` — micro-batching queue with one lock, for streaming
   workloads: ``submit()`` from any thread returns a
   :class:`PendingRequest` ticket, ``start()`` launches a work-conserving
   background flusher that serves the queue whenever it is idle, so batches
@@ -45,7 +46,7 @@ from .ann import (
 )
 from .batching import PendingRequest, RequestBatcher, ServingFrontend
 from .item_index import ItemIndex, TopKIndex, brute_force_ranking
-from .server import ColdStartServer, Recommendation, ServerStats
+from .server import ColdStartServer, Recommendation
 
 __all__ = [
     "TopKIndex",
@@ -61,7 +62,6 @@ __all__ = [
     "brute_force_ranking",
     "ColdStartServer",
     "Recommendation",
-    "ServerStats",
     "RequestBatcher",
     "PendingRequest",
     "ServingFrontend",

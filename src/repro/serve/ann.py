@@ -138,7 +138,8 @@ class IVFIndex:
     nprobe:
         Cells visited per query.  Default: ``max(1, num_clusters // 32)``
         (~3% of the catalogue at the default cluster count), which clears
-        the recall@10 ≥ 0.95 gate of ``tests/test_serve_ann.py``.
+        the recall@10 ≥ 0.95 gate of ``tests/test_serve_ann.py``.  Both
+        sizes must be integers: ``2.7`` or ``"3"`` raises :class:`TypeError`.
     seed, kmeans_iters, train_size:
         Quantizer training controls (see :func:`kmeans_quantizer`).
     """
@@ -155,8 +156,8 @@ class IVFIndex:
         n = self.item_latents.shape[0]
         if num_clusters is None:
             num_clusters = min(4096, max(1, int(round(2.0 * math.sqrt(n)))))
-        num_clusters = min(int(num_clusters), n)
-        if num_clusters < 1:
+        num_clusters = min(_as_k(num_clusters, "num_clusters"), n)
+        if num_clusters < 1:  # an empty catalogue
             raise ValueError(f"num_clusters must be >= 1, got {num_clusters}")
         self.num_clusters = num_clusters
         self.seed = int(seed)
@@ -164,7 +165,7 @@ class IVFIndex:
         self.train_size = None if train_size is None else int(train_size)
         if nprobe is None:
             nprobe = max(1, num_clusters // 32)
-        self.nprobe = int(nprobe)
+        self.nprobe = nprobe
 
         if _prebuilt is not None:
             # Deserialisation path: adopt the stored structure verbatim so a
@@ -214,11 +215,11 @@ class IVFIndex:
 
     @nprobe.setter
     def nprobe(self, value: int) -> None:
-        """Clamp to [1, num_clusters]; raising it trades speed for recall."""
-        value = int(value)
-        if value < 1:
-            raise ValueError(f"nprobe must be >= 1, got {value}")
-        self._nprobe = min(value, self.num_clusters)
+        """Clamp to [1, num_clusters]; raising it trades speed for recall.
+
+        A non-integer ``value`` (``2.7``, ``"3"``) raises :class:`TypeError`.
+        """
+        self._nprobe = min(_as_k(value, "nprobe"), self.num_clusters)
 
     # ------------------------------------------------------------------ #
     # Scoring

@@ -13,7 +13,10 @@ deterministic; the correctness tests (serve vs. brute force) rely on this.
 flushes whenever it is idle and the queue is not empty, so batches grow
 with load by themselves (dynamic batching, as in Clipper).  Client threads
 only ``submit()``, which never waits behind a batch in progress, and block
-on ``ticket.result()``.  Served lists are **bit-identical** to synchronous
+on ``ticket.result()``.  The queue lock is the batcher's only lock: serving
+runs outside it, and since :meth:`~repro.serve.ColdStartServer.recommend`
+keeps no state, the flusher and a caller's ``flush()`` may serve at once.
+Served lists are **bit-identical** to synchronous
 :meth:`~repro.serve.ColdStartServer.recommend` calls for the same traffic
 (pinned by ``tests/test_serve_frontend.py``)::
 
@@ -108,24 +111,20 @@ class RequestBatcher:
     server:
         The :class:`ColdStartServer` used to fulfil batches.
     max_batch_size:
-        Most users served in one vectorized call.  A flush serves a longer
+        Most users served in one vectorized call (an integer >= 1; ``2.5``
+        raises :class:`TypeError`).  A flush serves a longer
         queue in consecutive batches of this size, and on a batcher that is
         not started, the submit that queues the ``max_batch_size``-th
         request flushes at once.
     """
 
     def __init__(self, server: ColdStartServer, max_batch_size: int = 256):
-        if max_batch_size < 1:
-            raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
         self.server = server
-        self.max_batch_size = int(max_batch_size)
-        # Guards the queue and the lifecycle flags, never serving, so a
-        # submit does not wait behind a batch; the flusher waits on it.
+        self.max_batch_size = _as_k(max_batch_size, "max_batch_size")
+        # The only lock.  It guards the queue, the lifecycle flags and
+        # batches_flushed, never serving, so a submit does not wait behind
+        # a batch; the flusher waits on it.
         self._lock = threading.Condition(threading.Lock())
-        # One flush at a time calls the server: its stats counters are not
-        # atomic.  Re-entrant, so a recommend that submits into a full
-        # queue of an unstarted batcher can flush it inline.
-        self._serving = threading.RLock()
         self._queue: List[PendingRequest] = []
         self._closed = False
         self._crash: Optional[BaseException] = None
@@ -174,14 +173,15 @@ class RequestBatcher:
         the offending requests fail; co-batched tickets are never dropped.
         Failed positions are ``None`` in the returned list.
         """
+        size = self.max_batch_size
         with self._lock:
             queue, self._queue = self._queue, []
+            self.batches_flushed += -(-len(queue) // size)  # ceil division
         if not queue:
             return []
-        with self._serving:
-            for start in range(0, len(queue), self.max_batch_size):
-                self._serve(queue[start:start + self.max_batch_size])
-                self.batches_flushed += 1
+        # recommend is stateless, so concurrent flushes need no lock here.
+        for start in range(0, len(queue), size):
+            self._serve(queue[start:start + size])
         # Wake callers only now: every ticket of a flush resolves together.
         for request in queue:
             request._resolved.set()

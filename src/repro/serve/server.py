@@ -55,23 +55,6 @@ class Recommendation:
         return int(self.items.shape[0])
 
 
-@dataclass
-class ServerStats:
-    """Cumulative serving counters (exposed for monitoring/benchmarks).
-
-    The contract (pinned by ``tests/test_serve.py``):
-
-    * ``requests`` counts vectorized :meth:`ColdStartServer.recommend`
-      calls.  A :class:`~repro.serve.RequestBatcher` batch issues one such
-      call *per distinct* ``k`` in it, so ``requests`` can exceed
-      ``batcher.batches_flushed`` for mixed-``k`` traffic.
-    * ``users_served`` counts request slots (duplicates included).
-    """
-
-    requests: int = 0
-    users_served: int = 0
-
-
 class ColdStartServer:
     """Serve top-K target-domain recommendations for source-domain users.
 
@@ -142,7 +125,6 @@ class ColdStartServer:
             index = build_index(model, target, backend=index_backend,
                                 **self._index_options)
         self._snapshot = _Snapshot(index, self._encode_users(index))
-        self.stats = ServerStats()
         self._source_graph = model._domain_parts(source)[3]
 
     # ------------------------------------------------------------------ #
@@ -202,7 +184,9 @@ class ColdStartServer:
         """Top-K recommendations for a batch of source-domain users.
 
         ``k`` defaults to ``top_k``; a non-integer ``k`` raises
-        :class:`TypeError` and ``k < 1`` :class:`ValueError`.
+        :class:`TypeError` and ``k < 1`` :class:`ValueError`.  The server
+        keeps no per-request state, so this is a function of the current
+        snapshot, ``users`` and ``k`` alone and is safe on any thread.
         """
         users = _as_ids(users, "user")
         k = self.top_k if k is None else _as_k(k)
@@ -212,8 +196,6 @@ class ColdStartServer:
         if self.exclude_seen and self.source == self.target:
             exclude = [self._source_graph.items_of_user(int(u)) for u in users]
         items, scores = snapshot.index.top_k(latents, k, exclude=exclude)
-        self.stats.requests += 1
-        self.stats.users_served += int(users.shape[0])
         recommendations = []
         for row, user in enumerate(users):
             valid = items[row] >= 0  # drop exclusion padding (see ItemIndex.top_k)
@@ -236,8 +218,14 @@ class ColdStartServer:
         :meth:`TopKIndex.top_k`) would otherwise wrap to the *last* catalogue
         item via fancy indexing and return a confidently wrong score, and a
         non-integer id raises :class:`TypeError` instead of being truncated.
+        ``users`` and ``items`` must have equal length: pairs are never
+        broadcast, so a length mismatch raises :class:`ValueError`.
         """
-        items = _as_ids(items, "item")
+        users, items = _as_ids(users, "user"), _as_ids(items, "item")
+        if users.shape != items.shape:
+            raise ValueError(
+                f"users and items must pair up, got shapes {users.shape} "
+                f"and {items.shape}")
         snapshot = self._snapshot  # read once: refresh() may swap it
         num_items = snapshot.index.num_items
         if items.size and (items.min() < 0 or items.max() >= num_items):

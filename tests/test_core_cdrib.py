@@ -110,6 +110,13 @@ class TestModel:
         assert scores.shape == (7,)
         assert np.all(np.isfinite(scores))
 
+    def test_cold_start_scores_rejects_unequal_lengths(self, model, tiny_scenario):
+        """One user and three items used to broadcast into three scores."""
+        split = tiny_scenario.x_to_y
+        with pytest.raises(ValueError, match="pair up"):
+            model.cold_start_scores(split.source, split.target,
+                                    np.zeros(1, dtype=np.int64), np.arange(3))
+
 
 class TestTrainer:
     def test_pools_built_for_all_groups(self, trainer):

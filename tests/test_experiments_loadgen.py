@@ -89,13 +89,21 @@ class TestRunLoadTest:
     def test_counters_are_per_run_on_a_reused_server(self, trained_model,
                                                      small_scenario):
         server = make_server(trained_model, small_scenario)
+        served = []
+        recommend = server.recommend
+
+        def counting_recommend(users, k=None):
+            served.extend(int(u) for u in users)
+            return recommend(users, k=k)
+
+        server.recommend = counting_recommend
         traffic = np.array([0, 1, 2, 3] * 4)
         first = run_load_test(server, traffic, workers=1, max_batch_size=4)
         again = run_load_test(server, traffic, workers=1, max_batch_size=4)
         # One worker fills no batch: every request is its own flush, and the
         # second run counts its own flushes, not the server's total.
         assert first.batches_flushed == again.batches_flushed == 16
-        assert server.stats.users_served == 32
+        assert served == list(traffic) * 2
 
     def test_bad_user_counts_as_error_not_crash(self, trained_model,
                                                 small_scenario):

@@ -645,6 +645,15 @@ class TestColdStartServer:
         scores = server.score_pairs([0], [num_items - 1])
         assert np.isfinite(scores).all()
 
+    def test_score_pairs_rejects_unequal_lengths(self, server):
+        """``score_pairs([0], [1, 2, 3])`` used to broadcast user 0 across
+        the three items and return three scores."""
+        with pytest.raises(ValueError, match="pair up"):
+            server.score_pairs([0], [1, 2, 3])
+        with pytest.raises(ValueError, match="pair up"):
+            server.score_pairs([0, 1], [2])
+        assert server.score_pairs([0, 0, 0], [1, 2, 3]).shape == (3,)
+
     def test_non_integer_ids_rejected(self, server):
         """Truncation regression: a float id used to be cast to int64, so
         ``recommend([1.9])`` served user 1 and ``score_pairs([1], [1.5])``
@@ -859,6 +868,7 @@ class TestRequestBatcher:
         small = batcher.submit(2, k=3)
         default = batcher.submit(2)
         batcher.flush()
+        assert batcher.batches_flushed == 1  # one batch, one call per k
         assert len(small.result()) == 3
         assert len(default.result()) == server.top_k
         assert np.array_equal(small.result().items, default.result().items[:3])
@@ -869,6 +879,13 @@ class TestRequestBatcher:
     def test_bad_batch_size(self, server):
         with pytest.raises(ValueError):
             RequestBatcher(server, max_batch_size=0)
+
+    @pytest.mark.parametrize("size", [2.5, np.float64(3.0)])
+    def test_non_integer_batch_size_rejected(self, server, size):
+        """``max_batch_size=2.5`` used to serve batches of 2."""
+        with pytest.raises(TypeError):
+            RequestBatcher(server, max_batch_size=size)
+        assert RequestBatcher(server, max_batch_size=np.int64(2)).max_batch_size == 2
 
     def test_non_integer_user_rejected_at_submit(self, server):
         """``submit(2.5)`` used to queue, and serve, user 2."""
@@ -931,11 +948,21 @@ class TestRequestBatcherPoisonedBatch:
     def test_all_good_batch_unaffected(self, server):
         # The recovery path must not kick in for healthy batches: one
         # vectorized recommend per k-group, exactly as before.
-        before = server.stats.requests
+        calls = []
+        original_recommend = server.recommend
+
+        def counting_recommend(users, k=None):
+            calls.append(list(users))
+            return original_recommend(users, k=k)
+
         batcher = RequestBatcher(server, max_batch_size=100)
         tickets = [batcher.submit(u) for u in (1, 2, 3)]
-        batcher.flush()
-        assert server.stats.requests == before + 1
+        server.recommend = counting_recommend
+        try:
+            batcher.flush()
+        finally:
+            server.recommend = original_recommend
+        assert calls == [[1, 2, 3]]
         assert all(t.done and not t.failed for t in tickets)
 
     def test_failed_ticket_reports_done_but_failed(self, server):
@@ -986,52 +1013,3 @@ class TestRequestBatcherFlushEdgeCases:
         assert late.done
         assert np.array_equal(late.result().items,
                               server.recommend([5])[0].items)
-
-
-class TestServerStatsContract:
-    """Pins the ServerStats counting contract against the RequestBatcher's
-    flush semantics (see the ServerStats docstring)."""
-
-    def _fresh(self, trained_model, small_scenario):
-        return ColdStartServer(trained_model, small_scenario.domain_x.name,
-                               small_scenario.domain_y.name, top_k=5)
-
-    def test_requests_counts_recommend_calls_not_flushes(self, trained_model,
-                                                         small_scenario):
-        # A mixed-k flush is one batch for the batcher but one vectorized
-        # recommend call per distinct k for the server.
-        server = self._fresh(trained_model, small_scenario)
-        batcher = RequestBatcher(server, max_batch_size=100)
-        batcher.submit(1, k=3)
-        batcher.submit(2)          # default k
-        batcher.submit(3, k=3)
-        batcher.flush()
-        assert batcher.batches_flushed == 1
-        assert server.stats.requests == 2          # k=3 group + default group
-        assert server.stats.users_served == 3      # every queued slot served
-
-    def test_uniform_k_flush_is_one_request(self, trained_model, small_scenario):
-        server = self._fresh(trained_model, small_scenario)
-        batcher = RequestBatcher(server, max_batch_size=100)
-        for user in (1, 2, 3, 4):
-            batcher.submit(user)
-        batcher.flush()
-        assert batcher.batches_flushed == 1
-        assert server.stats.requests == 1
-        assert server.stats.users_served == 4
-
-    def test_users_served_counts_duplicate_slots(self, trained_model,
-                                                 small_scenario):
-        server = self._fresh(trained_model, small_scenario)
-        server.recommend([7, 7, 7, 8])
-        server.recommend([7, 8])
-        assert server.stats.requests == 2
-        assert server.stats.users_served == 6
-
-    def test_failed_recommend_counts_nothing(self, trained_model,
-                                             small_scenario):
-        server = self._fresh(trained_model, small_scenario)
-        with pytest.raises(ValueError):
-            server.recommend([1, 10**9])
-        assert server.stats.requests == 0
-        assert server.stats.users_served == 0

@@ -177,6 +177,26 @@ class TestIVFIndex:
         with pytest.raises(ValueError):
             ivf.top_k(queries[:2], 3, exclude=[[1]])
 
+    @pytest.mark.parametrize("options", [dict(nprobe=2.7), dict(num_clusters=10.9),
+                                         dict(num_clusters="4")])
+    def test_non_integer_sizes_rejected(self, catalog_and_queries, options):
+        """``IVFIndex(nprobe=2.7, num_clusters=10.9)`` used to build with 2
+        probes over 10 cells."""
+        catalog, _ = catalog_and_queries
+        with pytest.raises(TypeError):
+            IVFIndex(catalog[:20], **options)
+
+    def test_non_integer_nprobe_assignment_rejected(self, catalog_and_queries):
+        """``ivf.nprobe = "3"`` used to be parsed as 3."""
+        catalog, _ = catalog_and_queries
+        ivf = IVFIndex(catalog[:20], num_clusters=4, nprobe=1, seed=0)
+        for value in ("3", 2.7):
+            with pytest.raises(TypeError):
+                ivf.nprobe = value
+        assert ivf.nprobe == 1
+        ivf.nprobe = np.int64(3)
+        assert ivf.nprobe == 3
+
     def test_num_clusters_clamped_to_catalog(self):
         catalog = np.random.default_rng(0).standard_normal((7, 3))
         ivf = IVFIndex(catalog, num_clusters=50, nprobe=50)

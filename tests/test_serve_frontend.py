@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from repro.core import CDRIB, CDRIBConfig, CDRIBTrainer
-from repro.serve import ColdStartServer, RequestBatcher, ServingFrontend
+from repro.serve import (ColdStartServer, RequestBatcher, ServingFrontend,
+                         brute_force_ranking)
 
 
 @pytest.fixture(scope="module")
@@ -328,3 +329,115 @@ class TestConcurrentBitIdentity:
             sys.setswitchinterval(switch_interval)
             server.recommend = original_recommend
         assert sorted(counted) == sorted(int(u) for u in traffic)
+
+
+class TestStatelessServing:
+    """``recommend`` keeps no state, so the batcher serves with no lock:
+    a checkpoint swap or a second flusher never corrupts a served list."""
+
+    def test_refresh_under_load_serves_one_snapshot_per_list(
+            self, small_scenario):
+        # A model of its own: training it must not touch the shared fixture.
+        model = CDRIB(small_scenario, CDRIBConfig(embedding_dim=16,
+                                                  num_layers=2, batch_size=128,
+                                                  num_negatives=2, seed=1))
+        trainer = CDRIBTrainer(model)
+        trainer.run_steps(2)
+        server = make_server(model, small_scenario)
+        snapshots = [server._snapshot]
+        num_users = small_scenario.domain_x.graph.num_users
+        training_done = threading.Event()
+
+        def train_and_refresh():
+            try:
+                for _ in range(8):
+                    trainer.run_steps(1)
+                    server.refresh()
+                    snapshots.append(server._snapshot)
+            finally:
+                training_done.set()
+
+        def client(seed):
+            rng = np.random.default_rng(seed)
+            served = []
+            while not training_done.is_set() or len(served) < 32:
+                user = int(rng.integers(0, num_users))
+                k = 3 if rng.random() < 0.25 else None
+                served.append((k, batcher.submit(user, k=k).result(timeout=30.0)))
+            return served
+
+        trainer_thread = threading.Thread(target=train_and_refresh, daemon=True)
+        with RequestBatcher(server, max_batch_size=8).start() as batcher:
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                clients = [pool.submit(client, seed) for seed in range(3)]
+                trainer_thread.start()
+                served = [pair for future in clients for pair in future.result()]
+        trainer_thread.join(timeout=60.0)
+        assert not trainer_thread.is_alive()
+        assert len(snapshots) == 9
+
+        def served_by(snapshot, rec, k):
+            """Whether ``rec`` is the brute-force list of ``snapshot``."""
+            scores = snapshot.index.scores(snapshot.user_latents[[rec.user]])[0]
+            items = brute_force_ranking(scores)[:k]
+            return (np.array_equal(rec.items, items)
+                    and np.allclose(rec.scores, scores[items],
+                                    rtol=1e-12, atol=1e-12))
+
+        for k, rec in served:
+            k = server.top_k if k is None else k
+            assert any(served_by(snapshot, rec, k) for snapshot in snapshots), (
+                f"user {rec.user}: a list no single snapshot serves")
+
+    def test_explicit_flushes_beside_the_flusher(self, trained_model,
+                                                 small_scenario):
+        server = make_server(trained_model, small_scenario)
+        reference_server = make_server(trained_model, small_scenario)
+        calls = []
+        lock = threading.Lock()
+        recommend = server.recommend
+
+        def counting_recommend(users, k=None):
+            with lock:
+                calls.append([int(u) for u in np.asarray(users)])
+            time.sleep(0.001)  # widen the window in which two flushes serve
+            return recommend(users, k=k)
+
+        server.recommend = counting_recommend
+        num_users = small_scenario.domain_x.graph.num_users
+        traffic = np.random.default_rng(17).integers(0, num_users, size=96)
+        clients_done = threading.Event()
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with RequestBatcher(server, max_batch_size=4).start() as batcher:
+                def flush_in_a_loop():
+                    while not clients_done.is_set():
+                        batcher.flush()
+
+                flusher = threading.Thread(target=flush_in_a_loop, daemon=True)
+                flusher.start()
+                try:
+                    def drive(users):
+                        tickets = [batcher.submit(int(u)) for u in users]
+                        return [t.result(timeout=30.0) for t in tickets]
+
+                    with ThreadPoolExecutor(max_workers=4) as pool:
+                        served = [rec for chunk in
+                                  pool.map(drive, np.array_split(traffic, 4))
+                                  for rec in chunk]
+                finally:
+                    clients_done.set()
+                    flusher.join(timeout=30.0)
+                assert not flusher.is_alive()
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert sorted(u for call in calls for u in call) == sorted(
+            int(u) for u in traffic)
+        assert batcher.batches_flushed == len(calls)
+        for user, rec in zip(traffic, served):
+            expected = reference_server.recommend([int(user)])[0]
+            assert rec.user == int(user)
+            assert np.array_equal(rec.items, expected.items)
+            np.testing.assert_allclose(rec.scores, expected.scores,
+                                       rtol=1e-12, atol=1e-12)
