@@ -379,7 +379,3 @@ class CDRIB(Module):
         user_repr = source_latents.users.deterministic().data[source_users]
         item_repr = target_latents.items.deterministic().data[target_items]
         return np.sum(user_repr * item_repr, axis=-1)
-
-    def in_domain_scores(self, domain: str, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        """Score (user, item) pairs inside a single domain (used by diagnostics)."""
-        return self.cold_start_scores(domain, domain, users, items)

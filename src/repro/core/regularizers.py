@@ -30,24 +30,6 @@ def minimality_term(latent_mu: Tensor, latent_sigma: Tensor) -> Tensor:
     return ops.gaussian_kl(latent_mu, latent_sigma, reduce="mean")
 
 
-def fused_minimality_term(latent_mu: Tensor, latent_sigma: Tensor) -> Tensor:
-    """Single-node version of :func:`minimality_term` (training fast path).
-
-    Forward evaluates the same expression chain as :func:`ops.gaussian_kl`
-    with ``reduce="mean"`` — same operations, same order, bitwise-equal
-    values — and the backward closure replays the composed pipeline's exact
-    vector-Jacobian products, collapsing ~10 graph nodes into one.
-    """
-    mu, sigma = latent_mu, latent_sigma
-    out, rows, shifted_var = _kl_mean_forward(mu.data, sigma.data)
-
-    def backward(g):
-        return _kl_mean_backward(float(np.asarray(g)), rows, mu.data,
-                                 sigma.data, shifted_var)
-
-    return ops._make(np.asarray(out), (mu, sigma), backward)
-
-
 def _kl_mean_forward(mu: np.ndarray, sigma: np.ndarray):
     """Forward pieces of the mean KL: (value, rows, shifted variance)."""
     var = sigma * sigma

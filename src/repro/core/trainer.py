@@ -50,11 +50,6 @@ class TrainResult:
     best_validation_mrr: Optional[float] = None
     best_epoch: Optional[int] = None
 
-    @property
-    def final_loss(self) -> float:
-        """Mean loss of the last logged epoch (NaN before any epoch)."""
-        return self.history[-1].loss if self.history else float("nan")
-
 
 class _EdgePool:
     """A pool of (user, target_user, item) rows with per-step batch sampling.

@@ -40,10 +40,6 @@ class Domain:
     item_index: Dict[Hashable, int]
     all_edges: np.ndarray
 
-    @property
-    def num_train_edges(self) -> int:
-        return self.graph.num_edges
-
 
 @dataclass
 class ColdStartUser:
@@ -309,13 +305,6 @@ class MergedView:
     item_offset_y: int
     num_items_x: int
     num_items_y: int
-
-    def merged_user(self, key: Hashable) -> int:
-        return self.user_index[key]
-
-    def merged_item(self, domain_name_is_y: bool, item: int) -> int:
-        offset = self.item_offset_y if domain_name_is_y else self.item_offset_x
-        return offset + int(item)
 
 
 def build_merged_view(scenario: CDRScenario) -> MergedView:

@@ -14,7 +14,7 @@ into a batched serving subsystem:
   catalogue scales where brute force caps throughput.
 * :class:`ColdStartServer` — one read-only user-latent table per checkpoint
   (a single full-graph no-grad VBGE pass), so serving a batch is a row
-  gather plus top-K against a pluggable index
+  gather plus top-K against either index
   (``index_backend="exact" | "ivf"``).  It keeps no per-request state, so
   ``recommend`` is a function of (snapshot, users, k), safe on any thread.
 * :class:`RequestBatcher` — micro-batching queue with one lock, for streaming
@@ -24,7 +24,7 @@ into a batched serving subsystem:
   grow with load, and served lists stay bit-identical to the synchronous
   path.  :class:`ServingFrontend` is a batcher started at construction.
 * :func:`make_index` / :func:`build_index` / :func:`save_index` /
-  :func:`load_index` — the backend registry and checksummed on-disk index
+  :func:`load_index` — backend dispatch by name and checksummed on-disk index
   artifacts (:mod:`repro.io` checkpoints).
 
 Served top-K lists from the exact backend are identical to a brute-force
@@ -41,7 +41,6 @@ from .ann import (
     kmeans_quantizer,
     load_index,
     make_index,
-    register_index_backend,
     save_index,
 )
 from .batching import PendingRequest, RequestBatcher, ServingFrontend
@@ -53,7 +52,6 @@ __all__ = [
     "ItemIndex",
     "IVFIndex",
     "INDEX_BACKENDS",
-    "register_index_backend",
     "make_index",
     "build_index",
     "save_index",

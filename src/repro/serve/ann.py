@@ -1,4 +1,4 @@
-"""Approximate million-item top-K retrieval: the IVF index and the backend registry.
+"""Approximate million-item top-K retrieval: the IVF index and backend dispatch.
 
 Brute-force serving (:class:`~repro.serve.ItemIndex`) scores every request
 against the *whole* catalogue — O(V·F) matmuls plus an O(V) block-max
@@ -21,12 +21,12 @@ scale.  This module adds the classic inverted-file (IVF) alternative:
    approximation only ever manifests as a *missing* item, which
    :func:`repro.eval.recall_against_exact` measures.
 
-Backends are pluggable through :data:`INDEX_BACKENDS` /
-:func:`make_index` / :func:`build_index`; both ``"exact"`` and ``"ivf"`` are
-pre-registered, and :class:`~repro.serve.ColdStartServer` accepts
-``index_backend=`` to pick one.  A built index can be published as a
-checksummed :mod:`repro.io` checkpoint (:func:`save_index` /
-:func:`load_index`), so a served index is reproducible from its manifest.
+There are two backends, ``"exact"`` and ``"ivf"`` (:data:`INDEX_BACKENDS`);
+:func:`make_index` / :func:`build_index` construct either by name, and
+:class:`~repro.serve.ColdStartServer` accepts ``index_backend=`` to pick
+one.  A built index can be published as a checksummed :mod:`repro.io`
+checkpoint (:func:`save_index` / :func:`load_index`), so a served index is
+reproducible from its manifest.
 
 Recall and speed at catalogue scale are gated in ``tests/test_serve_ann.py``,
 measured by the ``retrieve-*`` workloads of ``bench/`` and documented in
@@ -341,28 +341,16 @@ def _tie_stable_top_k(cand_scores: np.ndarray, cand_ids: np.ndarray,
 
 
 # --------------------------------------------------------------------------- #
-# Backend registry
+# Backends
 # --------------------------------------------------------------------------- #
-INDEX_BACKENDS: Dict[str, Callable[..., TopKIndex]] = {}
-
-
-def register_index_backend(name: str,
-                           factory: Callable[..., TopKIndex]) -> None:
-    """Register a retrieval backend under ``name`` (overwrites silently).
-
-    ``factory(item_latents, domain=..., **options)`` must return an object
-    satisfying the :class:`~repro.serve.TopKIndex` protocol.
-    """
-    INDEX_BACKENDS[name] = factory
-
-
-register_index_backend("exact", ItemIndex)
-register_index_backend("ivf", IVFIndex)
+#: The retrieval backends, by the name ``index_backend=`` takes.
+INDEX_BACKENDS: Dict[str, Callable[..., TopKIndex]] = {
+    "exact": ItemIndex, "ivf": IVFIndex}
 
 
 def make_index(item_latents: np.ndarray, backend: str = "exact",
                domain: str = "", **options) -> TopKIndex:
-    """Construct a registered retrieval backend over ``item_latents``."""
+    """Construct the ``backend`` retrieval index over ``item_latents``."""
     if backend not in INDEX_BACKENDS:
         raise KeyError(f"unknown index backend {backend!r}; "
                        f"available: {sorted(INDEX_BACKENDS)}")
@@ -447,9 +435,6 @@ def load_index(path: str) -> TopKIndex:
                                    "offsets": arrays["offsets"].astype(np.int64)})
     if backend == "exact":
         return ItemIndex(arrays["item_latents"], domain=domain)
-    if backend in INDEX_BACKENDS:
-        return INDEX_BACKENDS[backend](arrays["item_latents"], domain=domain,
-                                       **options)
     raise CheckpointError(
         f"checkpoint {path!r} holds unknown index backend {backend!r}; "
         f"available: {sorted(INDEX_BACKENDS)}")

@@ -17,10 +17,9 @@ brute-force stable full ranking.  The selection keeps *every* item that
 could tie at the K-th position and orders them all with one ``lexsort``,
 so nothing depends on a partition's arbitrary internal ordering.
 
-Retrieval is *pluggable*: :class:`ItemIndex` is the ``"exact"`` reference
-implementation of the :class:`TopKIndex` protocol; the approximate IVF
-backend (``"ivf"``) and the backend registry live in
-:mod:`repro.serve.ann`.
+:class:`ItemIndex` is the ``"exact"`` reference implementation of the
+:class:`TopKIndex` protocol; the approximate IVF backend (``"ivf"``) and
+dispatch by backend name live in :mod:`repro.serve.ann`.
 """
 
 from __future__ import annotations

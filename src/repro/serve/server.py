@@ -73,9 +73,8 @@ class ColdStartServer:
         users the target-domain history is empty by construction, so this
         mainly matters for in-domain serving.)
     index_backend:
-        Retrieval backend name from the :mod:`repro.serve.ann` registry:
-        ``"exact"`` (default, brute force) or ``"ivf"`` (approximate,
-        catalogue-scale).
+        Retrieval backend name: ``"exact"`` (default, brute force) or
+        ``"ivf"`` (approximate, catalogue-scale).
     index_options:
         Backend constructor options (e.g. ``{"nprobe": 32}`` for IVF).
     index:
@@ -124,20 +123,31 @@ class ColdStartServer:
             self._index_options = dict(index_options or {})
             index = build_index(model, target, backend=index_backend,
                                 **self._index_options)
-        self._snapshot = _Snapshot(index, self._encode_users(index))
+        self._snapshot = self._build_snapshot(index)
         self._source_graph = model._domain_parts(source)[3]
 
     # ------------------------------------------------------------------ #
     # Latent management
     # ------------------------------------------------------------------ #
-    def _encode_users(self, index: TopKIndex) -> np.ndarray:
-        """Every source user's latent, in ``index``'s dtype, read-only."""
+    def _build_snapshot(self, index: TopKIndex) -> _Snapshot:
+        """``index`` plus every source user's latent in its dtype, read-only.
+
+        Raises :class:`ValueError` when either side is not all finite: a
+        diverged checkpoint would otherwise be served without error and
+        fail every request, so it is refused before it can be swapped in.
+        """
+        if not np.isfinite(index.item_latents).all():
+            raise ValueError(f"item latents of target domain {self.target!r} "
+                             f"are not all finite")
         # Follow the index's floating dtype: a float32 checkpoint must serve
         # float32 end-to-end (float64 here would double the table's memory).
         table = np.asarray(self.model.encode_users_batch(self.source),
                            dtype=index.item_latents.dtype)
+        if not np.isfinite(table).all():
+            raise ValueError(f"user latents of source domain {self.source!r} "
+                             f"are not all finite")
         table.setflags(write=False)
-        return table
+        return _Snapshot(index, table)
 
     @property
     def index(self) -> TopKIndex:
@@ -171,10 +181,12 @@ class ColdStartServer:
         an IVF server (its quantizer is re-trained on the fresh latents).
         Both are built to one side and swapped in with one assignment, so
         requests served meanwhile use the previous checkpoint throughout.
+        A checkpoint whose latents are not all finite raises
+        :class:`ValueError` and the previous one stays in service.
         """
         index = build_index(self.model, self.target,
                             backend=self._index_backend, **self._index_options)
-        self._snapshot = _Snapshot(index, self._encode_users(index))
+        self._snapshot = self._build_snapshot(index)
 
     # ------------------------------------------------------------------ #
     # Serving

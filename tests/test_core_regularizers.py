@@ -113,25 +113,6 @@ class TestContrastive:
 class TestFusedTermParity:
     """The fused single-node terms must match their composed-op originals."""
 
-    def _random_latent(self, seed, rows=7, dim=5):
-        rng = np.random.default_rng(seed)
-        mu = Tensor(rng.standard_normal((rows, dim)), requires_grad=True)
-        sigma = Tensor(rng.random((rows, dim)) + 0.1, requires_grad=True)
-        return mu, sigma
-
-    def test_fused_minimality_term_matches_composed_kl(self):
-        from repro.core.regularizers import fused_minimality_term
-
-        mu_a, sigma_a = self._random_latent(0)
-        mu_b, sigma_b = self._random_latent(0)
-        reference = minimality_term(mu_a, sigma_a)
-        fused = fused_minimality_term(mu_b, sigma_b)
-        np.testing.assert_array_equal(fused.data, reference.data)
-        reference.backward()
-        fused.backward()
-        np.testing.assert_array_equal(mu_b.grad, mu_a.grad)
-        np.testing.assert_array_equal(sigma_b.grad, sigma_a.grad)
-
     def test_fused_reconstruction_group_matches_composed_terms(self):
         from repro.core.regularizers import fused_reconstruction_group
 

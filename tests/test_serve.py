@@ -744,6 +744,45 @@ class TestColdStartServer:
                             small_scenario.domain_y.name, top_k=top_k)
 
 
+class TestNonFiniteCheckpoint:
+    """A diverged checkpoint is refused before it can be served: it used to
+    be swapped in silently, after which every request failed."""
+
+    @staticmethod
+    def _poison(model, prefix=""):
+        model.load_state_dict({
+            name: np.full_like(value, np.nan) if name.startswith(prefix)
+            else value
+            for name, value in model.state_dict().items()})
+
+    @pytest.mark.parametrize("prefix, side", [("", "target"),
+                                              ("vbge_x.", "source")])
+    def test_refresh_refuses_and_keeps_serving(self, small_scenario, prefix,
+                                               side):
+        # A model of its own: poisoning it must not touch the shared fixture.
+        model = CDRIB(small_scenario, CDRIBConfig(embedding_dim=16,
+                                                  num_layers=2, seed=1))
+        server = ColdStartServer(model, small_scenario.domain_x.name,
+                                 small_scenario.domain_y.name, top_k=10)
+        users = np.arange(small_scenario.domain_x.num_users)
+        before = server.recommend(users)
+        self._poison(model, prefix)
+        with pytest.raises(ValueError, match=repr(getattr(server, side))):
+            server.refresh()
+        after = server.recommend(users)
+        for old, new in zip(before, after):
+            assert np.array_equal(new.items, old.items)
+            assert np.array_equal(new.scores, old.scores)
+
+    def test_construction_refuses(self, small_scenario):
+        model = CDRIB(small_scenario, CDRIBConfig(embedding_dim=16,
+                                                  num_layers=2, seed=1))
+        self._poison(model)
+        with pytest.raises(ValueError, match="not all finite"):
+            ColdStartServer(model, small_scenario.domain_x.name,
+                            small_scenario.domain_y.name)
+
+
 @pytest.fixture(scope="module")
 def paper_served_setup():
     """``game_video`` at the smoke profile, briefly trained, served X -> Y."""

@@ -19,7 +19,6 @@ from repro.serve import (
     kmeans_quantizer,
     load_index,
     make_index,
-    register_index_backend,
     save_index,
 )
 
@@ -235,23 +234,6 @@ class TestBackendRegistry:
                           IVFIndex)
         with pytest.raises(KeyError):
             make_index(catalog, backend="nope")
-
-    def test_custom_backend_registration(self, catalog_and_queries):
-        catalog, _ = catalog_and_queries
-        calls = []
-
-        def factory(latents, domain="", **options):
-            calls.append(options)
-            return ItemIndex(latents, domain=domain)
-
-        register_index_backend("custom-test", factory)
-        try:
-            index = make_index(catalog, backend="custom-test", domain="d", extra=3)
-            assert isinstance(index, ItemIndex)
-            assert calls == [{"extra": 3}]
-            assert index.domain == "d"
-        finally:
-            del INDEX_BACKENDS["custom-test"]
 
 
 class TestIndexPersistence:

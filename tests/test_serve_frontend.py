@@ -259,18 +259,24 @@ class TestConcurrentBitIdentity:
         rng = np.random.default_rng(seed)
         return rng.integers(0, num_users, size=n)
 
-    def test_concurrent_matches_synchronous_recommend(self, trained_model,
-                                                      small_scenario):
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("max_batch_size", [8, 64])
+    @pytest.mark.parametrize("backend", ["exact", "ivf"])
+    def test_concurrent_matches_synchronous_recommend(
+            self, trained_model, small_scenario, backend, max_batch_size,
+            workers):
         traffic = self._traffic(small_scenario)
-        concurrent_server = make_server(trained_model, small_scenario)
-        reference_server = make_server(trained_model, small_scenario)
+        concurrent_server = make_server(trained_model, small_scenario,
+                                        index_backend=backend)
+        reference_server = make_server(trained_model, small_scenario,
+                                       index_backend=backend)
 
         with RequestBatcher(concurrent_server,
-                            max_batch_size=8).start() as batcher:
+                            max_batch_size=max_batch_size).start() as batcher:
             def drive(user):
                 return batcher.submit(int(user)).result(timeout=30.0)
 
-            with ThreadPoolExecutor(max_workers=4) as pool:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 served = list(pool.map(drive, traffic))
 
         for user, rec in zip(traffic, served):
@@ -300,6 +306,31 @@ class TestConcurrentBitIdentity:
             reference = reference_server.recommend([int(user)], k=k)[0]
             assert np.array_equal(rec.items, reference.items)
             assert len(rec) == (k if k is not None else concurrent_server.top_k)
+
+    def test_bad_user_under_concurrent_load_fails_only_its_ticket(
+            self, trained_model, small_scenario):
+        server = make_server(trained_model, small_scenario)
+        traffic = [0, 1, 10**9, 2]
+        with RequestBatcher(server, max_batch_size=4).start() as batcher:
+            def drive(user):
+                try:
+                    return batcher.submit(user).result(timeout=30.0)
+                except ValueError as error:
+                    return error
+
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                served = list(pool.map(drive, traffic))
+
+        failed = [isinstance(rec, ValueError) for rec in served]
+        assert failed == [False, False, True, False]
+        for user, rec in zip(traffic, served):
+            if user == 10**9:
+                continue
+            reference = server.recommend([user])[0]
+            assert rec.user == user
+            assert np.array_equal(rec.items, reference.items)
+            np.testing.assert_allclose(rec.scores, reference.scores,
+                                       rtol=1e-12, atol=1e-12)
 
     def test_every_submitted_request_is_served_exactly_once(
             self, trained_model, small_scenario):
