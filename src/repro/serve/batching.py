@@ -4,8 +4,8 @@ Every served call pays a fixed per-call cost (argument checks, one top-K
 pass against the item index, Python overhead) regardless of how many users
 ride along.  The :class:`RequestBatcher` therefore queues incoming requests
 and serves them in vectorized batches of at most ``max_batch_size``.
-``submit`` returns a :class:`PendingRequest` ticket, and every ticket of a
-flushed queue is resolved (fulfilled or failed) during the same ``flush()``.
+``submit`` checks a request and returns a :class:`PendingRequest` ticket,
+and every ticket of a flushed queue is resolved during the same ``flush()``.
 
 Used synchronously, nothing runs in the background and serving is fully
 deterministic; the correctness tests (serve vs. brute force) rely on this.
@@ -41,14 +41,19 @@ _log = logging.getLogger(__name__)
 class PendingRequest:
     """A future-like ticket for one enqueued recommendation request.
 
-    ``user`` must be an integer and ``k``, when given, an integer >= 1
-    (``operator.index``): a float raises :class:`TypeError` at submit time
-    instead of being truncated, and a bad ``k`` is refused before anything
-    is queued.
+    ``user`` must be a row of the served user table and ``k``, when given,
+    an integer >= 1.  Both are checked here, at submit time, with the
+    exception types ``recommend`` raises, so nothing request-specific can
+    fail once the request is queued.
     """
 
     def __init__(self, user: int, k: Optional[int], batcher: "RequestBatcher"):
+        if isinstance(user, bool):  # operator.index(True) == 1
+            raise TypeError(f"user ids must be integers, got {user!r}")
         self.user = operator.index(user)
+        if not 0 <= self.user < batcher._num_users:
+            raise ValueError(f"user index out of range (num_users="
+                             f"{batcher._num_users}), got {self.user}")
         self.k = None if k is None else _as_k(k)
         self._batcher = batcher
         self._result: Optional[Recommendation] = None
@@ -72,9 +77,9 @@ class PendingRequest:
     def result(self, timeout: Optional[float] = None) -> Recommendation:
         """Return the recommendation, waiting up to ``timeout`` seconds.
 
-        A request that failed during its flush (e.g. an out-of-range user
-        id) re-raises the original error here, on *its* caller — never on
-        the co-batched requests.  An unresolved request raises
+        A request whose ``k``-group failed re-raises that group's one
+        ``recommend`` error here; every ticket of the group holds the same
+        error object.  An unresolved request raises
         :class:`TimeoutError` once ``timeout`` passes.  With ``timeout=None``
         it blocks until its batch is served on a started or closing batcher,
         and raises :class:`RuntimeError` at once otherwise, since nothing but
@@ -121,6 +126,8 @@ class RequestBatcher:
     def __init__(self, server: ColdStartServer, max_batch_size: int = 256):
         self.server = server
         self.max_batch_size = _as_k(max_batch_size, "max_batch_size")
+        # refresh() re-encodes the same source graph, so this is fixed.
+        self._num_users = server._snapshot.user_latents.shape[0]
         # The only lock.  It guards the queue, the lifecycle flags and
         # batches_flushed, never serving, so a submit does not wait behind
         # a batch; the flusher waits on it.
@@ -140,8 +147,9 @@ class RequestBatcher:
         On a started batcher this only appends and wakes the flusher.  On
         one that is not started, the submit that fills a batch flushes it.
         Raises :class:`TypeError` for a non-integer ``user`` or ``k``,
-        :class:`ValueError` for ``k < 1`` (nothing is queued either way)
-        and :class:`RuntimeError` once the batcher is closed.
+        :class:`ValueError` for a ``user`` outside the served table or
+        ``k < 1`` (nothing is queued either way) and :class:`RuntimeError`
+        once the batcher is closed.
         """
         request = PendingRequest(user, k, self)
         with self._lock:
@@ -166,12 +174,9 @@ class RequestBatcher:
         The queue is swapped out under the queue lock and served outside
         it, so requests submitted meanwhile wait for the next flush.  Every
         ticket of the swapped queue is resolved by the time this returns:
-        fulfilled, or — when its request raised — failed with the original
-        error attached (:meth:`PendingRequest.result` re-raises it).  A
-        poisoned batch (e.g. one out-of-range user id riding with valid
-        requests) degrades that ``k``-group to per-request serving so only
-        the offending requests fail; co-batched tickets are never dropped.
-        Failed positions are ``None`` in the returned list.
+        fulfilled, or failed with the error its ``k``-group's one
+        ``recommend`` call raised (:meth:`PendingRequest.result` re-raises
+        it).  Failed positions are ``None`` in the returned list.
         """
         size = self.max_batch_size
         with self._lock:
@@ -198,17 +203,9 @@ class RequestBatcher:
         for k, requests in by_k.items():
             try:
                 served = self.server.recommend([r.user for r in requests], k=k)
-            except Exception:
-                # The vectorized call is all-or-nothing: one bad request in
-                # the group raised before *any* list was served.  Retry per
-                # request so valid co-batched traffic is still served and
-                # only the offenders carry the error.
+            except Exception as error:
                 for request in requests:
-                    try:
-                        request._result = self.server.recommend(
-                            [request.user], k=k)[0]
-                    except Exception as error:
-                        request._error = error
+                    request._error = error
                 continue
             for request, recommendation in zip(requests, served):
                 request._result = recommendation

@@ -12,6 +12,9 @@ from repro.serve import (
 )
 from repro.serve import item_index
 
+#: Stands for the source domain's user count in parametrised user ids.
+NUM_USERS = object()
+
 
 def assert_rankings_equivalent(items_a, items_b, scores):
     """Rankings must match exactly, or disagree only within float noise.
@@ -936,6 +939,35 @@ class TestRequestBatcher:
         batcher.flush()
         assert ticket.result().user == 2
 
+    @pytest.mark.parametrize(
+        "user", [True, np.True_, 2.5, "3", -1, NUM_USERS, 10**9, np.int64(2), 0],
+        ids=["True", "np.True_", "2.5", "str-3", "-1", "num_users", "10**9",
+             "np.int64-2", "0"])
+    def test_submit_refuses_what_recommend_refuses(self, server, small_scenario,
+                                                   user):
+        """``submit(True)`` used to serve user 1, though ``recommend([True])``
+        raises TypeError; a bad id used to be queued and fail at flush."""
+        if user is NUM_USERS:
+            user = small_scenario.domain_x.graph.num_users
+        try:
+            server.recommend([user])
+        except Exception as error:
+            expected = type(error)
+        else:
+            expected = None
+        batcher = RequestBatcher(server, max_batch_size=100)
+        if expected is None:
+            ticket = batcher.submit(user)
+            assert len(batcher) == 1
+            batcher.flush()
+            assert np.array_equal(ticket.result().items,
+                                  server.recommend([user])[0].items)
+        else:
+            with pytest.raises(expected) as caught:
+                batcher.submit(user)
+            assert type(caught.value) is expected
+            assert len(batcher) == 0
+
     @pytest.mark.parametrize("k, error", [(2.9, TypeError), ("3", TypeError),
                                           (0, ValueError)])
     def test_bad_k_rejected_at_submit(self, server, k, error):
@@ -950,43 +982,70 @@ class TestRequestBatcher:
         assert len(ticket.result()) == 3
 
 
-class TestRequestBatcherPoisonedBatch:
-    """Batch-poisoning regression: one bad request used to raise out of
-    flush() *after* the queue swap, permanently stranding every co-batched
-    ticket (never fulfilled, never failed, no longer queued)."""
+class IndexDown(Exception):
+    """Raised by an item index made to fail in a test."""
 
-    def test_bad_user_fails_only_its_own_ticket(self, server):
+
+def _break_index(server, monkeypatch):
+    """Make ``server``'s item index raise until the returned callable runs."""
+    top_k, down = server.index.top_k, [True]
+
+    def flaky_top_k(*args, **kwargs):
+        if down:
+            raise IndexDown("item index unavailable")
+        return top_k(*args, **kwargs)
+
+    monkeypatch.setattr(server.index, "top_k", flaky_top_k)
+    return down.clear
+
+
+def _count_recommend_calls(server, monkeypatch):
+    """Record the ``(users, k)`` of each ``server.recommend`` call."""
+    calls, recommend = [], server.recommend
+
+    def counting_recommend(users, k=None):
+        calls.append((list(users), k))
+        return recommend(users, k=k)
+
+    monkeypatch.setattr(server, "recommend", counting_recommend)
+    return calls
+
+
+class TestRequestBatcherPoisonedBatch:
+    """One bad request must never cost the batch it rides in.  A bad user
+    id is refused at submit, before it is queued, so co-batched requests
+    are served in one call per ``k``-group; a group whose call raises fails
+    each of its tickets with that one error."""
+
+    def test_bad_user_fails_only_its_own_ticket(self, server, monkeypatch):
+        calls = _count_recommend_calls(server, monkeypatch)
         batcher = RequestBatcher(server, max_batch_size=100)
         good_before = batcher.submit(1)
-        poison = batcher.submit(10**9)        # out of range for the source
+        with pytest.raises(ValueError):
+            batcher.submit(10**9)             # out of range for the source
+        assert len(batcher) == 1
         good_after = batcher.submit(2)
         results = batcher.flush()
         assert len(batcher) == 0
-        assert good_before.done and good_after.done and poison.done
-        assert poison.failed and not good_before.failed
-        with pytest.raises(ValueError):
-            poison.result()
-        # Valid co-batched traffic is served with correct lists.
-        for ticket in (good_before, good_after):
+        assert calls == [([1, 2], None)]     # the healthy requests: one call
+        monkeypatch.undo()
+        for ticket, result in zip((good_before, good_after), results):
             direct = server.recommend([ticket.user])[0]
+            assert result is ticket.result()
             assert np.array_equal(ticket.result().items, direct.items)
-        # The returned list mirrors ticket outcomes positionally.
-        assert results[0] is not None and results[2] is not None
-        assert results[1] is None
 
     def test_poison_in_one_k_group_spares_other_groups(self, server):
         batcher = RequestBatcher(server, max_batch_size=100)
         clean_group = batcher.submit(3, k=4)
-        poisoned_group = batcher.submit(10**9, k=7)
+        with pytest.raises(ValueError):
+            batcher.submit(10**9, k=7)
         victim = batcher.submit(5, k=7)
         batcher.flush()
         assert len(clean_group.result()) == 4
-        assert poisoned_group.failed
         assert not victim.failed and len(victim.result()) == 7
 
     def test_all_good_batch_unaffected(self, server):
-        # The recovery path must not kick in for healthy batches: one
-        # vectorized recommend per k-group, exactly as before.
+        # A healthy batch is one vectorized recommend per k-group.
         calls = []
         original_recommend = server.recommend
 
@@ -1004,14 +1063,57 @@ class TestRequestBatcherPoisonedBatch:
         assert calls == [[1, 2, 3]]
         assert all(t.done and not t.failed for t in tickets)
 
-    def test_failed_ticket_reports_done_but_failed(self, server):
+    def test_failed_ticket_reports_done_but_failed(self, server, monkeypatch):
         batcher = RequestBatcher(server, max_batch_size=100)
-        ticket = batcher.submit(-5)
+        ticket = batcher.submit(1)
         assert not ticket.done
+        _break_index(server, monkeypatch)
         batcher.flush()
         assert ticket.done and ticket.failed
-        with pytest.raises(ValueError):
+        with pytest.raises(IndexDown):
             ticket.result()
+
+    @pytest.mark.parametrize("started", [False, True])
+    def test_failing_group_fails_once(self, server, small_scenario,
+                                      monkeypatch, started):
+        """A ``k``-group whose ``recommend`` raises used to be retried per
+        request: 66 calls for these 64 requests, and an error per ticket."""
+        num_users = small_scenario.domain_x.graph.num_users
+        requests = [(u % num_users, 3 if u % 2 else None)
+                    for u in range(0, 448, 7)]
+        assert len(requests) == 64
+        calls = _count_recommend_calls(server, monkeypatch)
+        restore_index = _break_index(server, monkeypatch)
+        with RequestBatcher(server, max_batch_size=100) as batcher:
+            tickets = [batcher.submit(u, k=k) for u, k in requests]
+            if started:
+                batcher.start()  # its first flush takes the whole queue
+            else:
+                assert batcher.flush() == [None] * 64
+            errors = {}
+            for ticket in tickets:
+                with pytest.raises(IndexDown) as caught:
+                    ticket.result(timeout=30.0)
+                assert ticket.done and ticket.failed
+                errors.setdefault(ticket.k, set()).add(id(caught.value))
+            # One call per k-group.
+            assert sorted(str(k) for _, k in calls) == ["3", "None"]
+            assert {k: len(ids) for k, ids in errors.items()} == {3: 1, None: 1}
+
+            restore_index()
+            healthy = [batcher.submit(u, k=k) for u, k in requests]
+            if not started:
+                batcher.flush()
+            served = [ticket.result(timeout=30.0) for ticket in healthy]
+            if started:
+                assert batcher._flusher.is_alive()
+        monkeypatch.undo()
+        for (user, k), rec in zip(requests, served):
+            reference = server.recommend([user], k=k)[0]
+            assert rec.user == user
+            assert np.array_equal(rec.items, reference.items)
+            np.testing.assert_allclose(rec.scores, reference.scores,
+                                       rtol=1e-12, atol=1e-12)
 
 
 class TestRequestBatcherFlushEdgeCases:

@@ -92,13 +92,22 @@ class TestTicketLifecycle:
         server = make_server(trained_model, small_scenario)
         batcher = RequestBatcher(server, max_batch_size=100)
         good = batcher.submit(1)
-        poison = batcher.submit(10**9)
-        batcher.flush()
-        assert good.done and poison.done and poison.failed
         with pytest.raises(ValueError):
-            poison.result(timeout=0.1)
+            batcher.submit(10**9)             # refused before it is queued
+        assert len(batcher) == 1
+        batcher.flush()
         assert np.array_equal(good.result().items,
                               server.recommend([1])[0].items)
+
+        def index_down(*args, **kwargs):
+            raise OSError("item index unavailable")
+
+        failing = batcher.submit(2)
+        server.index.top_k = index_down       # this test's own server
+        batcher.flush()
+        assert failing.done and failing.failed
+        with pytest.raises(OSError):
+            failing.result(timeout=0.1)
 
 
 class TestBackgroundFlusher:
@@ -266,10 +275,16 @@ class TestConcurrentBitIdentity:
             self, trained_model, small_scenario, backend, max_batch_size,
             workers):
         traffic = self._traffic(small_scenario)
+        # IVF's default nprobe probes 1 of 21 cells of this 110-item
+        # catalogue (1-3 item lists); 8 cells fill every top-5 list while
+        # still missing items an exact scan would return.
+        options = {"nprobe": 8} if backend == "ivf" else None
         concurrent_server = make_server(trained_model, small_scenario,
-                                        index_backend=backend)
+                                        index_backend=backend,
+                                        index_options=options)
         reference_server = make_server(trained_model, small_scenario,
-                                       index_backend=backend)
+                                       index_backend=backend,
+                                       index_options=options)
 
         with RequestBatcher(concurrent_server,
                             max_batch_size=max_batch_size).start() as batcher:
@@ -282,6 +297,7 @@ class TestConcurrentBitIdentity:
         for user, rec in zip(traffic, served):
             reference = reference_server.recommend([int(user)])[0]
             assert rec.user == int(user)
+            assert len(rec) == concurrent_server.top_k
             assert np.array_equal(rec.items, reference.items)
             np.testing.assert_allclose(rec.scores, reference.scores,
                                        rtol=1e-12, atol=1e-12)
