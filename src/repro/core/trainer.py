@@ -337,7 +337,9 @@ class CDRIBTrainer:
         With ``checkpoint_dir`` set, the trainer saves ``<dir>/last`` every
         ``checkpoint_every`` epochs and ``<dir>/best`` whenever validation
         MRR improves, so a crash loses at most ``checkpoint_every`` epochs
-        and the best model survives the end-of-fit state restore.
+        and the best model survives the end-of-fit state restore.  A run
+        whose parameters turn non-finite stops with :class:`ValueError` at
+        its next checkpoint save (:meth:`save_checkpoint` refuses them).
         """
         if resume_from is not None:
             self.restore_checkpoint(resume_from)
@@ -428,8 +430,15 @@ class CDRIBTrainer:
         consumed; :meth:`restore_checkpoint` replays those steps, leaving
         every stream exactly where an uninterrupted run would have it.
         Resume is therefore bit-exact for both engines, at any step.
+
+        Raises :class:`ValueError`, before anything is written, when a
+        parameter is not all finite: a diverged run is not a checkpoint.
         """
         params = list(self.model.named_parameters())
+        for name, param in params:
+            if not np.isfinite(param.data).all():
+                raise ValueError(f"parameter {name!r} is not all finite; "
+                                 f"refusing to save a diverged model")
         arrays: Dict[str, np.ndarray] = {
             f"model/{name}": param.data.copy() for name, param in params
         }

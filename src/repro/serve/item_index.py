@@ -9,7 +9,9 @@ pass) and answers top-K queries against the cached matrix with one tiled
 block-max selection instead of ranking the full catalogue: the catalogue
 is scored in tiles of a fixed byte budget, and each tile is reduced into
 the running selection while it is still in cache, so no
-(batch, num_items) score matrix is built.
+(batch, num_items) score matrix is built.  A catalogue that fits one
+tile skips the block maxima: each row's exact k-th best score is its
+threshold.
 
 Tie handling is exact: results are ordered by descending score with ties
 broken by ascending item index, which is precisely the order produced by a
@@ -71,7 +73,12 @@ class TopKIndex(Protocol):
 
     def top_k(self, user_latents: np.ndarray, k: int,
               exclude: Optional[list] = None) -> Tuple[np.ndarray, np.ndarray]:
-        """Top-``k`` ``(items, scores)`` per user, padded with -1/-inf."""
+        """Top-``k`` ``(items, scores)`` per user, padded with -1/-inf.
+
+        Padding only ever fills the trailing slots of a row: every real
+        item precedes every -1, so a row's list is its prefix up to the
+        first -1 (:meth:`ColdStartServer.recommend` serves exactly that).
+        """
 
 
 class ItemIndex:
@@ -160,7 +167,7 @@ class ItemIndex:
 
     def top_k(self, user_latents: np.ndarray, k: int,
               exclude: Optional[list] = None) -> Tuple[np.ndarray, np.ndarray]:
-        """Top-``k`` items per user via one tiled block-max selection.
+        """Top-``k`` items per user via one tiled selection.
 
         Parameters
         ----------
@@ -189,7 +196,12 @@ class ItemIndex:
         The catalogue is split into blocks of width ``isqrt(num_items)``
         (plus a shorter tail block) and scored in tiles of whole blocks
         (:meth:`_score_tiles`), so no (batch, num_items) matrix is ever
-        built.  While a tile is in cache, its blocks are reduced to block
+        built.  When one tile holds the whole catalogue, each row's threshold
+        is its exact
+        k-th best entry (``np.partition``), which *is* the k-th best score,
+        so every top-k entry, ties included, is at or above it and is
+        gathered; one pass over the tile gathers them all.  Otherwise,
+        while a tile is in cache, its blocks are reduced to block
         maxima and merged into each row's running ``k`` largest block
         maxima, and the entries at or above the row's threshold are
         gathered from the blocks whose max reaches it.  The threshold is
@@ -203,14 +215,15 @@ class ItemIndex:
         dropped, and every row keeps at least its top k.  Within a row,
         candidates arrive in ascending item order (tiles run left to right,
         the tail block comes last), so one stable ``lexsort`` by
-        (row, -score) leaves ties in ascending item order; the first k per
-        row win.
+        (row, -score, excluded) leaves ties in ascending item order; the
+        first k per row win.
 
         NaN scores are *rejected* (:class:`ValueError`) rather than ranked:
         comparisons against a NaN threshold and ``lexsort`` silently misorder
         NaNs, so a NaN in a user or item latent would otherwise produce a
         confidently wrong list.  ``max`` propagates NaN, so the block maxima
-        double as the NaN check for every score.
+        double as the NaN check for every score; a tile ranked by its exact
+        k-th entry is checked whole.
         """
         k = _as_k(k)
         queries = _as_queries(user_latents)
@@ -234,6 +247,14 @@ class ItemIndex:
                 if np.isnan(tile[cells]).any():
                     raise ValueError(_NAN_MESSAGE)
                 tile[cells] = -np.inf
+            if hi - lo == num_items and tile.size:
+                if np.isnan(tile).any():
+                    raise ValueError(_NAN_MESSAGE)
+                threshold = np.partition(tile, num_items - k,
+                                         axis=1)[:, num_items - k]
+                rows_c, items = np.nonzero(tile >= threshold[:, None])
+                parts.append((rows_c, items, tile[rows_c, items]))
+                continue
             block_max = _block_maxima(tile, width)
             if np.isnan(block_max).any():
                 raise ValueError(_NAN_MESSAGE)
@@ -259,7 +280,14 @@ class ItemIndex:
             keep = candidates >= threshold[rows_c]
             rows_c, items, candidates = (rows_c[keep], items[keep],
                                          candidates[keep])
-        order = np.lexsort((-candidates, rows_c))  # stable: ties by item
+        keys = (-candidates, rows_c)
+        if banned is not None:
+            # Banned entries score -inf; ranking them after items that score
+            # -inf themselves keeps the padding trailing.
+            dropped = np.isin(items + num_items * rows_c,
+                              banned_items + num_items * rows)
+            keys = (dropped,) + keys
+        order = np.lexsort(keys)  # stable: ties by item
         # Every row keeps at least k candidates (argued above), so row r's
         # winners are the k entries after the rows before it.
         counts = np.bincount(rows_c, minlength=batch)
@@ -267,10 +295,7 @@ class ItemIndex:
         items, scores = items[top], candidates[top]
         if banned is not None:
             # A banned item is picked only when fewer than k others remain.
-            picked = np.isin(items + num_items * np.arange(batch)[:, None],
-                             banned_items + num_items * rows)
-            items[picked] = -1
-            scores[picked] = -np.inf
+            items[dropped[top]] = -1
         return items, scores
 
 
@@ -289,17 +314,25 @@ def _as_ids(values: Sequence[int], what: str) -> np.ndarray:
     Casting with ``np.asarray(values, dtype=np.int64)`` would truncate a
     ``1.9`` to ``1`` (or parse ``"1"``) and act on the wrong row, so only
     integer dtypes pass.  An empty sequence passes whatever its dtype
-    (``np.asarray([])`` is float64).
+    (``np.asarray([])`` is float64).  A Python int beyond int64 (numpy
+    holds it in an object array) raises ValueError: it is an id out of
+    range.
     """
     ids = np.asarray(values)
+    if ids.dtype == object and any(
+            isinstance(v, int) and not -2**63 <= v < 2**63 for v in ids.flat):
+        raise ValueError(f"{what} ids must lie in the int64 range")
     if ids.size and not np.issubdtype(ids.dtype, np.integer):
         raise TypeError(f"{what} ids must be integers, got dtype {ids.dtype}")
     return ids.astype(np.int64, copy=False)
 
 
 def _as_k(k: int, name: str = "k") -> int:
-    """``k`` as a list length >= 1; ``2.7`` or ``"3"`` raise TypeError."""
+    """``k`` as a list length >= 1; ``2.7``, ``"3"`` or ``True`` raise
+    TypeError."""
     try:
+        if isinstance(k, bool):  # operator.index(True) == 1
+            raise TypeError
         k = operator.index(k)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {k!r}") from None

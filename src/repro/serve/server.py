@@ -160,10 +160,10 @@ class ColdStartServer:
         Raises :class:`TypeError` for non-integer ids and
         :class:`ValueError` for ids outside the source domain.
         """
-        return self._gather(self._snapshot.user_latents, users)
+        return self._gather(self._snapshot.user_latents, _as_ids(users, "user"))
 
-    def _gather(self, table: np.ndarray, users: Sequence[int]) -> np.ndarray:
-        users = _as_ids(users, "user")
+    def _gather(self, table: np.ndarray, users: np.ndarray) -> np.ndarray:
+        """Rows ``users`` (an :func:`_as_ids` array) of ``table``, a copy."""
         num_users = table.shape[0]
         if users.size and (users.min() < 0 or users.max() >= num_users):
             raise ValueError(
@@ -208,13 +208,12 @@ class ColdStartServer:
         if self.exclude_seen and self.source == self.target:
             exclude = [self._source_graph.items_of_user(int(u)) for u in users]
         items, scores = snapshot.index.top_k(latents, k, exclude=exclude)
-        recommendations = []
-        for row, user in enumerate(users):
-            valid = items[row] >= 0  # drop exclusion padding (see ItemIndex.top_k)
-            recommendations.append(Recommendation(
-                user=int(user), items=items[row][valid], scores=scores[row][valid]
-            ))
-        return recommendations
+        # Padding (-1 / -inf) is trailing by the TopKIndex contract, so each
+        # list is the prefix of its row before the first -1.
+        lengths = (items >= 0).sum(axis=1).tolist()
+        return [Recommendation(user=user, items=items[row, :n],
+                               scores=scores[row, :n])
+                for row, (user, n) in enumerate(zip(users.tolist(), lengths))]
 
     def recommend_one(self, user: int, k: Optional[int] = None) -> Recommendation:
         """Convenience wrapper for a single user."""

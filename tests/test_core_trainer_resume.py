@@ -193,6 +193,18 @@ class TestExactResume:
         assert not os.path.exists(path + ".saving")
         assert not os.path.exists(path + ".old")
 
+    def test_non_finite_parameters_refused_before_writing(self, golden_scenario,
+                                                          tmp_path):
+        """A diverged model used to be saved as an all-NaN checkpoint."""
+        trainer = make_trainer(golden_scenario, "fused")
+        trainer.run_steps(2)
+        name, param = list(trainer.model.named_parameters())[3]
+        param.data.flat[0] = np.nan
+        path = str(tmp_path / "diverged")
+        with pytest.raises(ValueError, match=name):
+            trainer.save_checkpoint(path)
+        assert not os.path.exists(path)
+
     def test_fit_resume_continues_epoch_numbering(self, golden_scenario, tmp_path):
         straight = make_trainer(golden_scenario, "fused").fit(epochs=2)
 

@@ -140,6 +140,20 @@ class TestItemIndex:
         assert np.array_equal(items[0][1:], [-1, -1])
         assert np.all(np.isneginf(scores[0][1:]))
 
+    @pytest.mark.parametrize("tile_bytes", [16 << 20, 1],
+                             ids=["one-tile", "tiled"])
+    def test_exclusion_padding_trails_items_scoring_minus_inf(
+            self, monkeypatch, tile_bytes):
+        # Items 1 and 3 score -inf (the product overflows), tying with
+        # banned item 0; the padding used to land between them:
+        # [2, -1, 1, 3].
+        monkeypatch.setattr(item_index, "_TILE_BYTES", tile_bytes)
+        index = ItemIndex(np.array([[1.0], [-1e200], [2.0], [-1e200]]))
+        with np.errstate(over="ignore"):
+            items, scores = index.top_k(np.array([[1e200]]), 4, exclude=[[0]])
+        assert items.tolist() == [[2, 1, 3, -1]]
+        assert np.isfinite(scores[0, 0]) and np.all(np.isneginf(scores[0, 1:]))
+
 
 class TestBatchedSelection:
     """The block-max selection equals a brute-force stable ranking on
@@ -340,6 +354,8 @@ class TestExcludeValidation:
             assert 1 not in items[0].tolist()
 
     @pytest.mark.parametrize("k, error", [(2.5, TypeError), ("3", TypeError),
+                                          (True, TypeError),
+                                          (np.True_, TypeError),
                                           (0, ValueError), (-1, ValueError)])
     def test_bad_k_raises(self, index, k, error):
         # 2.5 used to fail inside numpy ("Partition index must be integer")
@@ -519,6 +535,24 @@ class TestColdStartServer:
         assert not seen & set(rec.items.tolist())
         assert np.all(rec.items >= 0) and np.all(np.isfinite(rec.scores))
 
+    def test_recommend_trims_short_ivf_lists(self, trained_model,
+                                             small_scenario):
+        # One probed cell holds fewer than k items, so IVF pads rows with
+        # -1 / -inf though nothing is excluded.
+        server = ColdStartServer(trained_model, small_scenario.domain_x.name,
+                                 small_scenario.domain_y.name, top_k=10,
+                                 index_backend="ivf",
+                                 index_options={"nprobe": 1})
+        users = np.arange(small_scenario.domain_x.graph.num_users)
+        items, scores = server.index.top_k(server.user_latents(users), 10)
+        recommendations = server.recommend(users)
+        assert any(len(rec) < 10 for rec in recommendations)
+        for row, rec in enumerate(recommendations):
+            assert np.all(rec.items >= 0) and np.all(np.isfinite(rec.scores))
+            n = np.append(np.flatnonzero(items[row] < 0), 10)[0]
+            assert np.array_equal(rec.items, items[row, :n])
+            assert np.array_equal(rec.scores, scores[row, :n])
+
     def test_topk_matches_brute_force_on_scenario(self, server, small_scenario):
         """Acceptance: served lists == brute-force full ranking, seeded scenario."""
         users = [u.source_user for split in [small_scenario.x_to_y]
@@ -670,6 +704,14 @@ class TestColdStartServer:
         with pytest.raises(TypeError, match="user ids must be integers"):
             server.score_pairs([1.5], [1])
 
+    def test_only_ids_beyond_int64_are_out_of_range(self, server):
+        """``recommend([10**20])`` used to raise TypeError about the object
+        array numpy holds it in; an in-range object array still does."""
+        with pytest.raises(ValueError, match="int64 range"):
+            server.recommend([10**20])
+        with pytest.raises(TypeError, match="user ids must be integers"):
+            server.recommend(np.array([1], dtype=object))
+
     def test_integer_ids_of_any_width_and_empty_batches_served(self, server):
         narrow = server.recommend(np.array([1, 4], dtype=np.int32), k=5)
         wide = server.recommend([np.int64(1), 4], k=5)
@@ -729,6 +771,8 @@ class TestColdStartServer:
         assert_served(server.recommend(users), new)
 
     @pytest.mark.parametrize("k, error", [(2.7, TypeError), ("3", TypeError),
+                                          (True, TypeError),
+                                          (np.True_, TypeError),
                                           (0, ValueError)])
     def test_bad_k_rejected(self, server, k, error):
         """``recommend([1], k=2.7)`` used to serve 2 items, and ``k="3"``
@@ -940,9 +984,10 @@ class TestRequestBatcher:
         assert ticket.result().user == 2
 
     @pytest.mark.parametrize(
-        "user", [True, np.True_, 2.5, "3", -1, NUM_USERS, 10**9, np.int64(2), 0],
+        "user", [True, np.True_, 2.5, "3", -1, NUM_USERS, 10**9, 10**20,
+                 np.int64(2), 0],
         ids=["True", "np.True_", "2.5", "str-3", "-1", "num_users", "10**9",
-             "np.int64-2", "0"])
+             "10**20", "np.int64-2", "0"])
     def test_submit_refuses_what_recommend_refuses(self, server, small_scenario,
                                                    user):
         """``submit(True)`` used to serve user 1, though ``recommend([True])``
@@ -969,6 +1014,8 @@ class TestRequestBatcher:
             assert len(batcher) == 0
 
     @pytest.mark.parametrize("k, error", [(2.9, TypeError), ("3", TypeError),
+                                          (True, TypeError),
+                                          (np.True_, TypeError),
                                           (0, ValueError)])
     def test_bad_k_rejected_at_submit(self, server, k, error):
         """``submit(1, k=2.9)`` used to serve 2 items, and ``k=0`` was
